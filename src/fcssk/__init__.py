@@ -1,16 +1,16 @@
 """Fractional chirp-slope-shift-keying (FCSSK) baseband modem.
 
 Transmitter, channel model, blind timing synchronization, two
-instantaneous-frequency estimators (DPLL, sliding-window LLS), two
-constant-weight codecs with matched-filter detectors, closed-form
+instantaneous-frequency estimators (DPLL, sliding-window LLS), one codec
+and one template-bank detector for two constant-weight codes, closed-form
 performance bounds, and a Monte-Carlo simulation CLI.
 """
 
-from .channel import ChannelConfig, apply_awgn, apply_delay, derived_rng
-from .codec import (B6B8, MANCHESTER, CodedFrame, CodeSpec, b6b8_decode_hard,
-                    b6b8_encode, build_6b8b_codebook, get_code_spec,
-                    manchester_decode, manchester_encode, manchester_spec)
-from .detect import Decision, decide, detect_6b8b, detect_manchester
+from .channel import apply_awgn, apply_delay, derived_rng
+from .codec import (B6B8, CODE_NAMES, MANCHESTER, CodedFrame, CodeSpec,
+                    build_6b8b_codebook, decode, encode, get_code_spec,
+                    manchester_spec)
+from .detect import Decision, decide, template_bank
 from .errors import (AliasingError, CodeViolationError, ConfigError, FcsskError,
                      FileFormatError, FramingError, SyncError, UndefinedPhaseError)
 from .ifest import (DpllParams, LlsParams, default_cutoff, default_f_nat,

@@ -9,8 +9,6 @@ cross-implementation bit-exactness is not promised, only the statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -21,13 +19,6 @@ from .sigcore import ChirpParams, IqBuffer, reference_tail
 STREAM_BITS = 1
 STREAM_NOISE = 2
 STREAM_DELAY = 3
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    snr_db: float | None   # None = noiseless
-    delay: int
-    seed: int
 
 
 def derived_rng(seed: int, *tags: int) -> np.random.Generator:

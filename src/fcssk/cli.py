@@ -102,6 +102,11 @@ def read_cf32(path: str) -> np.ndarray:
             f"{path}: length {len(raw)} is not a multiple of 8 bytes "
             "(interleaved float32 I,Q pairs)", offset=len(raw) - len(raw) % 8)
     flat = np.frombuffer(raw, dtype="<f4")
+    finite = np.isfinite(flat)
+    if not finite.all():
+        offset = 8 * (int(np.argmin(finite)) // 2)  # start of the first bad I,Q pair
+        raise FileFormatError(f"{path}: non-finite sample at byte offset {offset}",
+                              offset=offset)
     return (flat[0::2] + 1j * flat[1::2]).astype(np.complex128)
 
 
@@ -135,7 +140,7 @@ def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
 
 
 def _trial_sizes(total_bits: int, code: str) -> list[int]:
-    block = 6 if code == codec.B6B8 else 1
+    block = codec.get_code_spec(code).p
     sizes = []
     remaining = total_bits
     while remaining >= TRIAL_BITS:

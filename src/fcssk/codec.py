@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CodeViolationError, FramingError
+from .errors import CodeViolationError, ConfigError, FramingError
 
 MANCHESTER = "manchester"
 B6B8 = "6b8b"
@@ -83,7 +83,7 @@ def get_code_spec(name: str) -> CodeSpec:
         return manchester_spec()
     if name == B6B8:
         return build_6b8b_codebook()
-    raise ValueError(f"unknown code {name!r}; expected one of {CODE_NAMES}")
+    raise ConfigError(f"unknown code {name!r}; expected one of {CODE_NAMES}")
 
 
 def _as_bits(bits) -> np.ndarray:
@@ -93,69 +93,46 @@ def _as_bits(bits) -> np.ndarray:
     return arr
 
 
+def pack_values(bits: np.ndarray, width: int) -> np.ndarray:
+    """MSB-first value of each row of ``width`` bits."""
+    return bits.reshape(-1, width) @ (1 << np.arange(width - 1, -1, -1))
+
+
+def unpack_values(values: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of pack_values: the MSB-first bits of each value, flattened."""
+    return ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.int64).ravel()
+
+
 def _block_encode(info_bits, spec: CodeSpec, coded_bit_len: int) -> CodedFrame:
     u = _as_bits(info_bits)
     if len(u) % spec.p:
         raise FramingError(f"{spec.name}: input length {len(u)} not a multiple of {spec.p}")
-    if len(u) == 0:
-        return CodedFrame(bits=np.zeros(0, dtype=np.int64), code=spec.name,
-                          coded_bit_len=coded_bit_len)
-    blocks = u.reshape(-1, spec.p)
-    weights = 1 << np.arange(spec.p - 1, -1, -1)
-    values = blocks @ weights
     table = np.asarray(spec.codebook, dtype=np.int64)
-    return CodedFrame(bits=table[values].ravel(), code=spec.name,
+    return CodedFrame(bits=table[pack_values(u, spec.p)].ravel(), code=spec.name,
                       coded_bit_len=coded_bit_len)
 
 
-def manchester_encode(info_bits, coded_bit_len: int = 0) -> CodedFrame:
-    """Each info bit u maps to the pair (u, not u)."""
-    return _block_encode(info_bits, manchester_spec(), coded_bit_len)
+def encode(info_bits, code: str, coded_bit_len: int = 0) -> CodedFrame:
+    """Map each p-bit block (MSB-first value) to its codeword."""
+    return _block_encode(info_bits, get_code_spec(code), coded_bit_len)
 
 
-def manchester_decode(coded_bits) -> tuple[np.ndarray, np.ndarray]:
-    """Hard-decision inverse of manchester_encode.
+def decode(coded_bits, code: str) -> np.ndarray:
+    """Hard-decision inverse of encode, by a 2**q lookup table.
 
-    (1,0) -> 1 and (0,1) -> 0; the invalid pairs (0,0) and (1,1) decode to 0
-    and are reported in the returned array of violating pair indices, so a
-    bit always comes out for every pair in.
+    Raises FramingError unless the length is a multiple of q, and
+    CodeViolationError (with the index of the first bad block) on any word
+    outside the codebook, e.g. the Manchester pairs (0,0) and (1,1).
     """
-    x = _as_bits(coded_bits)
-    if len(x) % 2:
-        raise FramingError(f"manchester: coded length {len(x)} is odd")
-    pairs = x.reshape(-1, 2)
-    valid = pairs[:, 0] != pairs[:, 1]
-    info = np.where(valid, pairs[:, 0], 0)
-    return info, np.flatnonzero(~valid)
-
-
-def b6b8_encode(info_bits, coded_bit_len: int = 0) -> CodedFrame:
-    """Blockwise 6-bit value -> weight-4 octet lookup."""
-    return _block_encode(info_bits, build_6b8b_codebook(), coded_bit_len)
-
-
-def b6b8_decode_hard(coded_bits) -> np.ndarray:
-    """Inverse octet lookup; raises CodeViolationError on any unknown octet."""
-    spec = build_6b8b_codebook()
+    spec = get_code_spec(code)
     x = _as_bits(coded_bits)
     if len(x) % spec.q:
-        raise FramingError(f"6b8b: coded length {len(x)} not a multiple of {spec.q}")
-    if len(x) == 0:
-        return np.zeros(0, dtype=np.int64)
-    inverse = {word: value for value, word in enumerate(spec.codebook)}
-    out = np.empty((len(x) // spec.q, spec.p), dtype=np.int64)
-    for i, block in enumerate(x.reshape(-1, spec.q)):
-        value = inverse.get(tuple(int(b) for b in block))
-        if value is None:
-            raise CodeViolationError(f"octet {''.join(map(str, block))} at block {i} "
-                                     "is not in the 6b8b codebook", block_index=i)
-        out[i] = [(value >> k) & 1 for k in range(spec.p - 1, -1, -1)]
-    return out.ravel()
-
-
-def encode(info_bits, code: str, coded_bit_len: int = 0) -> CodedFrame:
-    if code == MANCHESTER:
-        return manchester_encode(info_bits, coded_bit_len)
-    if code == B6B8:
-        return b6b8_encode(info_bits, coded_bit_len)
-    raise ValueError(f"unknown code {code!r}")
+        raise FramingError(f"{spec.name}: coded length {len(x)} not a multiple of {spec.q}")
+    table = np.full(1 << spec.q, -1, dtype=np.int64)  # word value -> info value
+    table[pack_values(np.asarray(spec.codebook), spec.q)] = np.arange(len(spec.codebook))
+    values = table[pack_values(x, spec.q)]
+    bad = np.flatnonzero(values < 0)
+    if bad.size:
+        raise CodeViolationError(f"block {bad[0]} is not a {spec.name} codeword",
+                                 block_index=int(bad[0]))
+    return unpack_values(values, spec.p)

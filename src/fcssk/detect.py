@@ -1,10 +1,12 @@
-"""Decision stage: triangle matched filter (Manchester) and 6b8b bank.
+"""Decision stage: max-correlation detection over a codeword template bank.
 
-Both detectors correlate estimated-IF segments against ideal deviation
-templates generated by the modulator itself, so any change to the wire
-format propagates automatically.  Templates are energy-normalized, making
-the max-correlation rule coincide with the minimum-squared-error detector
-even though codeword deviation shapes differ in energy.
+Estimated-IF segments of p info bits are correlated against the ideal
+deviation templates of all 2**p codewords, generated by the modulator
+itself, so any change to the wire format propagates automatically.
+Templates are energy-normalized, making the max-correlation rule coincide
+with the minimum-squared-error detector even though codeword deviation
+shapes differ in energy.  Manchester's two templates are exact negatives,
+so its rule reduces to the sign of the triangle correlation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codec import CodeSpec, b6b8_encode, manchester_encode
+from .codec import CodeSpec, encode, get_code_spec, unpack_values
 from .errors import ConfigError
 from .sigcore import IfTrack
 from .txmod import ModParams, ideal_deviation_track
@@ -23,64 +25,35 @@ from .txmod import ModParams, ideal_deviation_track
 @dataclass(frozen=True)
 class Decision:
     bits: np.ndarray       # recovered info bits
-    metrics: np.ndarray    # per-symbol correlation scores (soft values)
+    metrics: np.ndarray    # per-symbol winning correlation over segment norm
     tail_samples: int      # trailing samples dropped as a partial symbol
 
 
 @lru_cache(maxsize=None)
-def manchester_template(mp: ModParams) -> np.ndarray:
-    """Unit-peak triangle for one info bit 1 (M samples)."""
-    dev = ideal_deviation_track(manchester_encode([1], mp.coded_bit_len), mp).values
-    return dev / np.max(np.abs(dev))
-
-
-@lru_cache(maxsize=None)
-def b6b8_template_bank(mp: ModParams) -> np.ndarray:
-    """(64, 6M) matrix of energy-normalized codeword deviation templates."""
+def template_bank(mp: ModParams) -> np.ndarray:
+    """(2**p, p*M) matrix of energy-normalized codeword deviation templates,
+    row i being the codeword of MSB-first value i."""
+    p = get_code_spec(mp.code).p
     rows = []
-    for value in range(64):
-        bits = [(value >> k) & 1 for k in range(5, -1, -1)]
-        dev = ideal_deviation_track(b6b8_encode(bits, mp.coded_bit_len), mp).values
+    for bits in unpack_values(np.arange(1 << p), p).reshape(-1, p):
+        dev = ideal_deviation_track(encode(bits, mp.code, mp.coded_bit_len), mp).values
         rows.append(dev / np.linalg.norm(dev))
     return np.asarray(rows)
 
 
-def _segment(track: IfTrack, seg_len: int) -> tuple[np.ndarray, int]:
+def decide(track: IfTrack, mp: ModParams, code: CodeSpec) -> Decision:
+    """Max-correlation codeword decision; ties go to the lowest value."""
     values = np.asarray(track.values, dtype=np.float64)
+    seg_len = code.p * mp.m  # == code.q * mp.coded_bit_len
     n_seg = len(values) // seg_len
     if n_seg == 0:
         raise ConfigError(f"track of {len(values)} samples holds no full "
                           f"{seg_len}-sample symbol")
-    tail = len(values) - n_seg * seg_len
-    return values[:n_seg * seg_len].reshape(n_seg, seg_len), tail
-
-
-def detect_manchester(track: IfTrack, mp: ModParams) -> Decision:
-    """Sign of the triangle correlation decides each info bit (ties -> 0)."""
-    segments, tail = _segment(track, mp.m)
-    template = manchester_template(mp)
-    corr = segments @ template
-    norm = np.linalg.norm(segments, axis=1) * np.linalg.norm(template)
-    metrics = np.divide(corr, norm, out=np.zeros_like(corr), where=norm > 0)
-    bits = (corr > 0).astype(np.int64)
-    return Decision(bits=bits, metrics=metrics, tail_samples=tail)
-
-
-def detect_6b8b(track: IfTrack, mp: ModParams, code: CodeSpec) -> Decision:
-    """Max-correlation codeword decision over the 64-template bank."""
-    if code.name != "6b8b":
-        raise ConfigError(f"expected 6b8b CodeSpec, got {code.name!r}")
-    seg_len = code.p * mp.m  # == code.q * mp.coded_bit_len
-    segments, tail = _segment(track, seg_len)
-    bank = b6b8_template_bank(mp)
-    scores = segments @ bank.T                 # (n_codewords, 64)
-    best = np.argmax(scores, axis=1)           # first index wins ties
-    metrics = scores[np.arange(len(best)), best]
-    bits = ((best[:, None] >> np.arange(5, -1, -1)) & 1).astype(np.int64)
-    return Decision(bits=bits.ravel(), metrics=metrics, tail_samples=tail)
-
-
-def decide(track: IfTrack, mp: ModParams, code: CodeSpec) -> Decision:
-    if code.name == "manchester":
-        return detect_manchester(track, mp)
-    return detect_6b8b(track, mp, code)
+    segments = values[:n_seg * seg_len].reshape(n_seg, seg_len)
+    scores = segments @ template_bank(mp).T        # (n_seg, 2**p)
+    best = np.argmax(scores, axis=1)               # first index wins ties
+    win = scores[np.arange(n_seg), best]
+    norm = np.linalg.norm(segments, axis=1)
+    metrics = np.divide(win, norm, out=np.zeros_like(win), where=norm > 0)
+    return Decision(bits=unpack_values(best, code.p), metrics=metrics,
+                    tail_samples=len(values) - n_seg * seg_len)

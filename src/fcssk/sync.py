@@ -132,7 +132,7 @@ def estimate_timing(rx: IqBuffer, params: ChirpParams) -> SyncEstimate:
     p = _avg_periodogram(x, params)
     peak_bin = int(np.argmax(p))
     floor = float(np.median(p))
-    if floor > 0 and p[peak_bin] < PEAK_FLOOR_RATIO * floor:
+    if not p[peak_bin] > PEAK_FLOOR_RATIO * floor:
         raise SyncError("no beat peak above the noise floor")
     f_peak = peak_bin * params.fs / n
     if peak_bin > n // 2:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codec import B6B8, MANCHESTER
+from .codec import get_code_spec
 from .errors import ConfigError
 from .sigcore import ChirpParams
 
@@ -38,27 +38,21 @@ def crb_variance(snr_linear: float, n_obs: int, fs: float) -> float:
 
 
 def observation_window(code: str, m: int) -> int:
-    """Fair-comparison window: the coded-bit duration (M/2 or 3M/4)."""
-    if code == MANCHESTER:
-        return m // 2
-    if code == B6B8:
-        return 3 * m // 4
-    raise ConfigError(f"unknown code {code!r}")
+    """Fair-comparison window: the coded-bit duration M*p/q (M/2 or 3M/4)."""
+    spec = get_code_spec(code)
+    return m * spec.p // spec.q
 
 
 def bit_energy(code: str, params: ChirpParams, m: int) -> float:
     """Deviation energy per info bit (area below the baseband IF curve).
 
     Manchester: a triangle of length M and height B0*M/N gives B0*M^2/(2N);
-    the 6b8b deviation is 3/2 larger in both length and height, i.e. 9/4
-    the Manchester energy.
+    a p/q code's deviation is 2p/q larger in both length and height, i.e.
+    (2p/q)^2 the Manchester energy (9/4 for 6b8b).
     """
+    spec = get_code_spec(code)
     e_man = params.b0 * m * m / (2.0 * params.n)
-    if code == MANCHESTER:
-        return e_man
-    if code == B6B8:
-        return 2.25 * e_man
-    raise ConfigError(f"unknown code {code!r}")
+    return e_man * (2 * spec.p / spec.q) ** 2
 
 
 def pe_crb(e_b: float, var_f: float) -> float:

@@ -9,10 +9,11 @@ from the reference chirp returns to zero at every codeword boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .codec import MANCHESTER, CodedFrame, get_code_spec
+from .codec import CodedFrame, get_code_spec
 from .errors import ConfigError
 from .sigcore import ChirpParams, IfTrack, IqBuffer, synthesize
 
@@ -23,7 +24,7 @@ class ModParams:
     code: str
     bitrate: int          # info bits/s
     m: int                # samples per info bit (fs / bitrate)
-    coded_bit_len: int    # samples per coded bit (M/2 or 3M/4)
+    coded_bit_len: int    # samples per coded bit (M*p/q: M/2 or 3M/4)
     kappa0: float         # slope keyed by a coded 0, Hz/sample
     kappa1: float         # slope keyed by a coded 1, Hz/sample
 
@@ -33,13 +34,11 @@ def make_mod_params(chirp: ChirpParams, code: str, bitrate: int) -> ModParams:
     if bitrate <= 0 or chirp.fs % bitrate:
         raise ConfigError(f"bitrate {bitrate} must divide fs={chirp.fs}")
     m = chirp.fs // bitrate
-    num, den = (1, 2) if code == MANCHESTER else (3, 4)
-    if (m * num) % den:
-        raise ConfigError(f"coded bit length {num}*M/{den} not integer for M={m}")
-    coded_bit_len = m * num // den
     # the coded-bit duration shrinks by the code rate p/q, so q coded bits
     # occupy exactly p info-bit durations and the info rate is unchanged
-    assert coded_bit_len * spec.q == m * spec.p
+    if (m * spec.p) % spec.q:
+        raise ConfigError(f"coded bit length {spec.p}*M/{spec.q} not integer for M={m}")
+    coded_bit_len = m * spec.p // spec.q
     return ModParams(chirp=chirp, code=code, bitrate=int(bitrate), m=m,
                      coded_bit_len=coded_bit_len,
                      kappa0=0.0, kappa1=2.0 * chirp.k0)
@@ -95,10 +94,12 @@ def ideal_deviation_track(frame: CodedFrame, mp: ModParams) -> IfTrack:
 
 
 def peak_deviation(mp: ModParams) -> float:
-    """Largest |IF deviation| the active code can produce.
+    """Run-length bound on |IF deviation|: the longest run of equal coded
+    bits inside any codeword, times L*k0 (1*L*k0 Manchester, 4*L*k0 6b8b).
 
-    Manchester alternates every coded bit (one coded bit of net slope k0
-    each way); 6b8b allows runs of up to four equal coded bits.
+    Not reached for 6b8b: 4*L*k0 needs a leading run of four, and both
+    such codewords (00001111, 11110000) are excluded, so 6b8b reaches 3*L*k0.
     """
-    run = 1 if mp.code == MANCHESTER else 4
-    return run * mp.coded_bit_len * mp.chirp.k0
+    runs = (len(list(run)) for word in get_code_spec(mp.code).codebook
+            for _, run in groupby(word))
+    return max(runs) * mp.coded_bit_len * mp.chirp.k0

@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from fcssk import (IqBuffer, apply_awgn, apply_delay, b6b8_encode, bit_energy,
-                   crb_variance, derive_params, estimate_timing, lls_track,
-                   make_dpll_params, manchester_encode, modulate, snr_at_pe)
+from fcssk import (IqBuffer, apply_awgn, apply_delay, bit_energy, crb_variance,
+                   derive_params, estimate_timing, lls_track, make_dpll_params,
+                   modulate, snr_at_pe)
 from fcssk.channel import STREAM_DELAY, derived_rng
 from fcssk.cli import RunConfig, main, parse_csv, simulate_point
 from fcssk.codec import encode
@@ -56,7 +56,7 @@ def test_criterion_02_bandwidth_invariant(chirp):
     rng = np.random.default_rng(21)
     man = make_mod_params(chirp, "manchester", 128)
     bits = rng.integers(0, 2, 32 * 1000)  # 32 info bits per chirp period
-    dev = ideal_deviation_track(manchester_encode(bits, man.coded_bit_len), man).values
+    dev = ideal_deviation_track(encode(bits, "manchester", man.coded_bit_len), man).values
     n = chirp.n
     boundary_dev = dev[n - 1::n]
     # sweep over period j = b0 + dev[end_j] - dev[end_{j-1}]
@@ -65,7 +65,7 @@ def test_criterion_02_bandwidth_invariant(chirp):
 
     b68 = make_mod_params(chirp, "6b8b", 128)
     bits = rng.integers(0, 2, 6 * 1000)
-    dev = ideal_deviation_track(b6b8_encode(bits, b68.coded_bit_len), b68).values
+    dev = ideal_deviation_track(encode(bits, "6b8b", b68.coded_bit_len), b68).values
     cw = 8 * b68.coded_bit_len
     ends = dev[cw - 1::cw]
     b68_ok = bool(np.max(np.abs(ends)) <= 1e-9)

@@ -82,12 +82,3 @@ class TestDerivedRng:
         b = derived_rng(7, 1, 3).standard_normal(8)
         assert np.array_equal(a, b)
 
-
-class TestChannelConfig:
-    def test_record_drives_both_impairments(self, chirp):
-        from fcssk import ChannelConfig
-        cfg = ChannelConfig(snr_db=10.0, delay=256, seed=42)
-        ref = reference_chirp(chirp, 1)
-        rx = apply_awgn(apply_delay(ref, cfg.delay, chirp), cfg.snr_db, cfg.seed)
-        assert len(rx) == len(ref) + cfg.delay
-        assert cfg.delay < chirp.n

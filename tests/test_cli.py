@@ -57,6 +57,17 @@ class TestCf32Files:
         with pytest.raises(FileFormatError):
             read_cf32(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, tmp_path, bad):
+        samples = np.ones(6, dtype=complex)
+        samples[3] = complex(1.0, bad)  # Q of sample 3, bytes 28..31
+        path = tmp_path / "x.cf32"
+        write_cf32(path, samples)
+        with pytest.raises(FileFormatError) as err:
+            read_cf32(path)
+        assert err.value.offset == 24
+        assert "offset 24" in str(err.value)
+
 
 class TestModulateCommand:
     def test_output_size_manchester_128(self, tmp_path):
@@ -113,6 +124,16 @@ class TestDemodulateCommand:
         out = tmp_path / "out.txt"
         assert run(["demodulate", "--in", sig, "--out", out]) == 1
         assert "peak" in capsys.readouterr().err
+
+    def test_all_zero_input_fails_sync(self, tmp_path, capsys):
+        sig = tmp_path / "zeros.cf32"
+        write_cf32(sig, np.zeros(3 * 16384, dtype=complex))  # 3 chirp periods
+        out = tmp_path / "out.txt"
+        assert run(["demodulate", "--in", sig, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "peak" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_no_sync_on_delayed_input_elevates_ber(self, tmp_path, rng):
         import fcssk

@@ -3,9 +3,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fcssk import (CodeViolationError, FramingError, b6b8_decode_hard,
-                   b6b8_encode, build_6b8b_codebook, manchester_decode,
-                   manchester_encode)
+from fcssk import (CodeViolationError, FramingError, build_6b8b_codebook, decode,
+                   encode)
 
 
 def max_run(bits) -> int:
@@ -20,34 +19,33 @@ class TestManchester:
     @pytest.mark.parametrize("info,coded", [([1], [1, 0]), ([0], [0, 1]),
                                             ([1, 1, 0], [1, 0, 1, 0, 0, 1])])
     def test_encode(self, info, coded):
-        assert manchester_encode(info).bits.tolist() == coded
+        assert encode(info, "manchester").bits.tolist() == coded
 
     def test_decode(self):
-        info, violations = manchester_decode([1, 0, 0, 1])
-        assert info.tolist() == [1, 0]
-        assert violations.size == 0
+        assert decode([1, 0, 0, 1], "manchester").tolist() == [1, 0]
 
     def test_invalid_pair_flagged(self):
-        info, violations = manchester_decode([0, 0])
-        assert info.tolist() == [0]
-        assert violations.tolist() == [0]
+        with pytest.raises(CodeViolationError) as err:
+            decode([0, 0], "manchester")
+        assert err.value.block_index == 0
+        with pytest.raises(CodeViolationError) as err:
+            decode([1, 0, 1, 1], "manchester")
+        assert err.value.block_index == 1
 
     def test_odd_length_framing_error(self):
         with pytest.raises(FramingError):
-            manchester_decode([1])
+            decode([1], "manchester")
 
     def test_empty(self):
-        assert len(manchester_encode([]).bits) == 0
+        assert len(encode([], "manchester").bits) == 0
 
     def test_round_trip_random(self, rng):
         for _ in range(50):
             u = rng.integers(0, 2, int(rng.integers(1, 200)))
-            decoded, violations = manchester_decode(manchester_encode(u).bits)
-            assert np.array_equal(decoded, u)
-            assert violations.size == 0
+            assert np.array_equal(decode(encode(u, "manchester").bits, "manchester"), u)
 
     def test_run_length_never_exceeds_two(self, rng):
-        coded = manchester_encode(rng.integers(0, 2, 500)).bits
+        coded = encode(rng.integers(0, 2, 500), "manchester").bits
         assert max_run(coded.tolist()) <= 2
 
 
@@ -92,31 +90,31 @@ class Test6b8bCodebook:
 class Test6b8bCodec:
     def test_value_zero_encodes_to_first_codeword(self):
         spec = build_6b8b_codebook()
-        assert b6b8_encode([0] * 6).bits.tolist() == list(spec.codebook[0])
+        assert encode([0] * 6, "6b8b").bits.tolist() == list(spec.codebook[0])
 
     def test_round_trip_all_values(self):
         for value in range(64):
             bits = [(value >> k) & 1 for k in range(5, -1, -1)]
-            assert b6b8_decode_hard(b6b8_encode(bits).bits).tolist() == bits
+            assert decode(encode(bits, "6b8b").bits, "6b8b").tolist() == bits
 
     def test_bad_length(self):
         with pytest.raises(FramingError):
-            b6b8_encode([1, 0, 1])
+            encode([1, 0, 1], "6b8b")
         with pytest.raises(FramingError):
-            b6b8_decode_hard([0] * 7)
+            decode([0] * 7, "6b8b")
 
     def test_weight_three_octet_rejected(self):
         with pytest.raises(CodeViolationError) as err:
-            b6b8_decode_hard([0, 0, 0, 0, 0, 1, 1, 1])
+            decode([0, 0, 0, 0, 0, 1, 1, 1], "6b8b")
         assert err.value.block_index == 0
 
     def test_violation_reports_offending_block(self):
-        good = b6b8_encode([1, 0, 1, 1, 0, 0]).bits.tolist()
+        good = encode([1, 0, 1, 1, 0, 0], "6b8b").bits.tolist()
         with pytest.raises(CodeViolationError) as err:
-            b6b8_decode_hard(good + [1] * 8)
+            decode(good + [1] * 8, "6b8b")
         assert err.value.block_index == 1
 
     def test_round_trip_random(self, rng):
         for _ in range(20):
             u = rng.integers(0, 2, 6 * int(rng.integers(1, 50)))
-            assert np.array_equal(b6b8_decode_hard(b6b8_encode(u).bits), u)
+            assert np.array_equal(decode(encode(u, "6b8b").bits, "6b8b"), u)

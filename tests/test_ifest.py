@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fcssk import (ConfigError, IqBuffer, LlsParams, downconvert, dpll_response,
-                   dpll_track, lls_track, make_dpll_params, manchester_encode,
-                   modulate, reference_chirp)
+                   dpll_track, encode, lls_track, make_dpll_params, modulate,
+                   reference_chirp)
 from fcssk.ifest import default_cutoff, default_f_nat, design_lowpass
 
 
@@ -154,7 +154,7 @@ class TestDownconvert:
         assert np.abs(if_est).max() < 0.1
 
     def test_manchester_triangle_visible(self, chirp, man128):
-        frame = manchester_encode([1, 0, 1, 1], man128.coded_bit_len)
+        frame = encode([1, 0, 1, 1], "manchester", man128.coded_bit_len)
         bb = downconvert(modulate(frame, man128), chirp, default_cutoff(man128))
         phase = np.unwrap(np.angle(bb.samples))
         if_est = np.diff(phase) * chirp.fs / (2 * np.pi)

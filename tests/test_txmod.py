@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from fcssk import (ConfigError, instantaneous_frequency, manchester_encode,
-                   modulate, ideal_deviation_track, reference_chirp)
-from fcssk.codec import b6b8_encode
+from fcssk import (ConfigError, encode, instantaneous_frequency, modulate,
+                   ideal_deviation_track, reference_chirp)
 from fcssk.txmod import make_mod_params, modulated_frequency, peak_deviation
 
 
@@ -25,7 +24,7 @@ class TestModParams:
 
 class TestModulate:
     def test_single_bit_slope_and_sweep(self, man128):
-        frame = manchester_encode([1], man128.coded_bit_len)
+        frame = encode([1], "manchester", man128.coded_bit_len)
         freq = modulated_frequency(frame, man128)
         # coded 1: IF rises at 2*k0 = 0.125 Hz/sample for 256 samples, then holds
         np.testing.assert_allclose(np.diff(freq[:256]), 0.125, atol=1e-12)
@@ -36,44 +35,44 @@ class TestModulate:
 
     def test_full_period_sweeps_exactly_b0(self, man128, rng):
         bits = rng.integers(0, 2, 32)  # exactly one chirp period at 128 b/s
-        frame = manchester_encode(bits, man128.coded_bit_len)
+        frame = encode(bits, "manchester", man128.coded_bit_len)
         kappa = np.where(np.repeat(frame.bits, man128.coded_bit_len) == 1,
                          man128.kappa1, man128.kappa0)
         assert abs(kappa.sum() - 1024.0) < 1e-9
 
     def test_empty_frame(self, man128):
-        assert len(modulate(manchester_encode([], man128.coded_bit_len), man128)) == 0
+        assert len(modulate(encode([], "manchester", man128.coded_bit_len), man128)) == 0
 
     def test_unit_envelope(self, man128, rng):
-        frame = manchester_encode(rng.integers(0, 2, 64), man128.coded_bit_len)
+        frame = encode(rng.integers(0, 2, 64), "manchester", man128.coded_bit_len)
         sig = modulate(frame, man128)
         np.testing.assert_allclose(np.abs(sig.samples), 1.0, rtol=0, atol=1e-14)
 
     def test_code_mismatch_rejected(self, man128):
-        frame = b6b8_encode([0] * 6)
+        frame = encode([0] * 6, "6b8b")
         with pytest.raises(ConfigError):
             modulate(frame, man128)
 
 
 class TestIdealDeviation:
     def test_triangle_peak_and_null(self, man128):
-        dev = ideal_deviation_track(manchester_encode([1], man128.coded_bit_len),
+        dev = ideal_deviation_track(encode([1], "manchester", man128.coded_bit_len),
                                     man128).values
         assert dev[255] == pytest.approx(16.0, abs=1e-9)   # peak k0*M/2 at M/2
         assert int(np.argmax(dev)) == 255
         assert abs(dev[-1]) < 1e-9                          # null at the bit end
 
     def test_zero_bit_mirrored(self, man128):
-        dev1 = ideal_deviation_track(manchester_encode([1], man128.coded_bit_len),
+        dev1 = ideal_deviation_track(encode([1], "manchester", man128.coded_bit_len),
                                      man128).values
-        dev0 = ideal_deviation_track(manchester_encode([0], man128.coded_bit_len),
+        dev0 = ideal_deviation_track(encode([0], "manchester", man128.coded_bit_len),
                                      man128).values
         np.testing.assert_allclose(dev0, -dev1, atol=1e-12)
         assert dev0[255] == pytest.approx(-16.0, abs=1e-9)
 
     def test_6b8b_codeword_nulls(self, b6b8_128, rng):
         bits = rng.integers(0, 2, 6 * 10)
-        dev = ideal_deviation_track(b6b8_encode(bits, b6b8_128.coded_bit_len),
+        dev = ideal_deviation_track(encode(bits, "6b8b", b6b8_128.coded_bit_len),
                                     b6b8_128).values
         cw_len = 8 * b6b8_128.coded_bit_len
         for k in range(10):
@@ -81,7 +80,7 @@ class TestIdealDeviation:
 
     def test_matches_if_difference(self, man128, rng):
         bits = rng.integers(0, 2, 8)
-        frame = manchester_encode(bits, man128.coded_bit_len)
+        frame = encode(bits, "manchester", man128.coded_bit_len)
         sig = modulate(frame, man128)
         ref = reference_chirp(man128.chirp, 1)
         n = len(sig)
@@ -93,7 +92,7 @@ class TestIdealDeviation:
     def test_boundary_straddling_6b8b_sweep_bound(self, b6b8_128, rng):
         # per-chirp sweep stays within b0 +- 3*M*k0 when codewords straddle
         bits = rng.integers(0, 2, 6 * 80)
-        frame = b6b8_encode(bits, b6b8_128.coded_bit_len)
+        frame = encode(bits, "6b8b", b6b8_128.coded_bit_len)
         kappa = np.where(np.repeat(frame.bits, b6b8_128.coded_bit_len) == 1,
                          b6b8_128.kappa1, b6b8_128.kappa0)
         n = b6b8_128.chirp.n
