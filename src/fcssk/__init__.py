@@ -12,8 +12,9 @@ from .codec import (B6B8, CODE_NAMES, MANCHESTER, CodedFrame, CodeSpec,
                     manchester_spec)
 from .detect import Decision, decide, template_bank
 from .errors import (AliasingError, CodeViolationError, ConfigError, FcsskError,
-                     FileFormatError, FramingError, SyncError, UndefinedPhaseError)
-from .ifest import (DpllParams, LlsParams, default_cutoff, default_f_nat,
+                     FileFormatError, FramingError, NonFiniteSampleError, SyncError,
+                     UndefinedPhaseError)
+from .ifest import (DpllParams, LlsParams, default_cutoff, default_dpll, default_f_nat,
                     design_lowpass, downconvert, dpll_response, dpll_track,
                     lls_track, make_dpll_params)
 from .sigcore import (ChirpParams, IfTrack, IqBuffer, derive_params,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, codec, detect, ifest, sync, theory, txmod
-from .errors import FcsskError, FileFormatError, SyncError
+from .errors import FcsskError, FileFormatError, NonFiniteSampleError, SyncError
 from .sigcore import ChirpParams, IqBuffer, derive_params
 
 CSV_HEADER = "snr_db,code,bitrate,estimator,bits,errors,ber"
@@ -123,14 +123,18 @@ def write_cf32(path: str, samples: np.ndarray) -> None:
 def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
                   use_sync: bool) -> tuple[detect.Decision, sync.SyncEstimate | None]:
     """sync -> downconvert -> IF estimation -> detection."""
+    finite = np.isfinite(rx.samples)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise NonFiniteSampleError(f"sample {index} is {rx.samples[index]}, "
+                                   f"not a finite number", index=index)
     est = None
     if use_sync:
         est = sync.estimate_timing(rx, mp.chirp)
         rx = sync.align(rx, est)
     bb = ifest.downconvert(rx, mp.chirp, ifest.default_cutoff(mp))
     if estimator == "dpll":
-        loop = ifest.make_dpll_params(mp.chirp.fs, ifest.default_f_nat(mp))
-        track = ifest.dpll_track(bb, loop)
+        track = ifest.dpll_track(bb, ifest.default_dpll(mp))
     elif estimator == "lls":
         track = ifest.lls_track(bb, ifest.LlsParams(window_len=mp.coded_bit_len))
     else:
@@ -190,6 +194,8 @@ def snr_grid(cfg: RunConfig) -> list[float]:
 
 def run_simulation(cfg: RunConfig) -> list[tuple]:
     mp = txmod.make_mod_params(cfg.chirp, cfg.code, cfg.bitrate)
+    if cfg.bits < 1:
+        raise FcsskError(f"--bits must be at least 1, got {cfg.bits}")
     if not _trial_sizes(cfg.bits, cfg.code):
         raise FcsskError(f"--bits {cfg.bits} is below one {cfg.code} block")
     rows = []

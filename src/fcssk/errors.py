@@ -29,6 +29,14 @@ class UndefinedPhaseError(FcsskError, ValueError):
     """A zero-magnitude sample has no defined phase."""
 
 
+class NonFiniteSampleError(FcsskError, ValueError):
+    """A sample buffer holds NaN or infinity."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 class SyncError(FcsskError, RuntimeError):
     """Timing estimation failed (no usable beat peak)."""
 

@@ -6,7 +6,12 @@ Two estimators are provided:
   H(z) = (C1*(z-1) + C2*(z-1)^2) / ((z-1)^2 + C2*(z-1) + C1)
   from input phase to estimated frequency, with C2 = 2*zeta*w0/fs and
   C1 = C2^2/(4*zeta^2); a type-2 loop with zero steady-state error on
-  frequency steps and ramps tracked with constant phase lag;
+  frequency steps and ramps tracked with constant phase lag.  The loop is
+  linear in the unwrapped input phase except where its wrapped phase
+  error leaves [-pi, pi) (a cycle slip), and a slip is a 2*pi phase step
+  whose effect is the loop's own step response.  So it runs as array
+  code: an FFT convolution for the linear part, then a scan that applies
+  each slip's exact step response in order;
 * a sliding-window linear-least-squares fit of a degree-lambda polynomial
   to the unwrapped phase, differentiated to yield the IF.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +30,10 @@ from .txmod import ModParams, peak_deviation
 
 LOWPASS_TAPS = 129
 MIN_CUTOFF_HZ = 64.0
+MAX_SLOPE_LAG = math.pi / 2   # rad: half the phase detector's range, half kept for noise
+SLIP_TAIL = 1e-20     # step-response magnitude below which a slip's effect ends
+SLIP_SCAN = 8192      # samples checked per step of the cycle-slip scan
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,24 @@ def default_f_nat(mp: ModParams) -> float:
     return mp.chirp.fs / (2.0 * mp.coded_bit_len)
 
 
+def default_dpll(mp: ModParams) -> DpllParams:
+    """The receive chain's loop: natural frequency ``default_f_nat(mp)``.
+
+    The keyed slopes differ from the reference by +-k0 Hz/sample, which
+    a type-2 loop follows with a steady phase lag of 2*pi*k0/(fs*c1) rad.
+    Noiseless bursts decoded cleanly up to a lag of 2.89 rad and failed
+    from 2.92 rad, near the phase detector's +-pi, so a lag above
+    MAX_SLOPE_LAG is refused.
+    """
+    p = make_dpll_params(mp.chirp.fs, default_f_nat(mp))
+    lag = 2.0 * math.pi * mp.chirp.k0 / (mp.chirp.fs * p.c1)
+    if lag > MAX_SLOPE_LAG:
+        raise ConfigError(f"DPLL (f_nat {p.f_nat:g} Hz) lags the chirp slope by {lag:.2f} rad, "
+                          f"over {MAX_SLOPE_LAG:.2f}; lower b0 or rep_rate, raise the "
+                          f"bitrate, or use the lls estimator")
+    return p
+
+
 def default_cutoff(mp: ModParams) -> float:
     """Lowpass cutoff: 4x the peak ideal deviation, floored at 64 Hz."""
     return max(4.0 * peak_deviation(mp), MIN_CUTOFF_HZ)
@@ -96,27 +124,101 @@ def downconvert(rx: IqBuffer, params: ChirpParams, cutoff_hz: float = MIN_CUTOFF
     return IqBuffer(samples=filtered, fs=rx.fs)
 
 
+def _phase_step_response(c1: float, c2: float, n: int) -> np.ndarray:
+    """First ``n`` samples of the loop's phase-in -> phase-error step response.
+
+    The error transfer is (1 - z^-1)^2 / A(z) with
+    A(z) = 1 + (c2 - 2) z^-1 + (1 - c2 + c1) z^-2, so its step response is
+    the impulse response q of 1/A(z) differenced once.  q comes from powers
+    of A's companion matrix, doubling the computed span at each step.
+    """
+    a1, a2 = c2 - 2.0, 1.0 - c2 + c1
+    state = np.zeros((2, n))     # column k holds (q[k], q[k-1])
+    state[0, 0] = 1.0
+    power = np.array([[-a1, -a2], [1.0, 0.0]])
+    width = 1
+    while width < n:
+        take = min(width, n - width)
+        state[:, width:width + take] = power @ state[:, :take]
+        power = power @ power
+        width *= 2
+    q = state[0]
+    return np.concatenate((q[:1], np.diff(q)))
+
+
+@lru_cache(maxsize=8)
+def _loop_kernel(c1: float, c2: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Step response g (truncated below SLIP_TAIL), its overlap-save
+    spectrum, and the FFT size, for the loop with gains (c1, c2)."""
+    radius = float(np.abs(np.roots([1.0, c2 - 2.0, 1.0 - c2 + c1])).max())
+    if radius >= 1.0:
+        raise ConfigError(f"DPLL gains c1={c1}, c2={c2} give an unstable loop "
+                          f"(pole radius {radius:.6f})")
+    # 1e4 of head-room below SLIP_TAIL covers the n*radius**n decay of a
+    # repeated pole
+    span = 2 + math.ceil(math.log(SLIP_TAIL * 1e-4) / math.log(max(radius, 0.5)))
+    g = _phase_step_response(c1, c2, span)
+    g = g[:int(np.flatnonzero(np.abs(g) > SLIP_TAIL)[-1]) + 1]
+    nfft = 1 << (8 * len(g) - 1).bit_length()   # blocks of ~8x the taps ran fastest
+    spectrum = np.fft.rfft(g, nfft)
+    g.flags.writeable = spectrum.flags.writeable = False  # shared by every caller
+    return g, spectrum, nfft
+
+
+def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int) -> np.ndarray:
+    """First len(x) samples of the linear convolution x * h, all blocks in
+    one batched FFT; ``spectrum`` is rfft(h, nfft)."""
+    keep = nfft - len(h) + 1
+    blocks = -(-len(x) // keep)
+    padded = np.zeros(blocks * keep + nfft)
+    padded[len(h) - 1:len(h) - 1 + len(x)] = x
+    segments = np.lib.stride_tricks.sliding_window_view(padded, nfft)[::keep][:blocks]
+    product = np.fft.rfft(segments, axis=1)
+    product *= spectrum
+    return np.fft.irfft(product, nfft, axis=1)[:, len(h) - 1:].ravel()[:len(x)]
+
+
 def dpll_track(bb: IqBuffer, p: DpllParams) -> IfTrack:
     """Track the IF of ``bb`` with the second-order loop.
 
-    Per sample: phase error e = angle(bb[n] * exp(-j*phi_out)); the loop
-    filter integrates C1*e and adds C2*e; the phase integrator advances by
-    that sum, which times fs/(2*pi) is the frequency estimate.
+    The loop, per sample n: phase error e = angle(bb[n] * exp(-j*phi)),
+    wrapped to [-pi, pi); v = C1 * sum(e[:n]) + C2 * e[n]; phi advances
+    by v, and v * fs/(2*pi) is the frequency estimate.
+
+    Unwrapped, e is the input phase filtered by the loop's error transfer
+    (1 - z^-1)^2 / A(z): the phase increments, wrapped to one turn,
+    convolved with the loop's step response g, by FFT.  Wherever that e leaves [-pi, pi), the loop
+    slips a cycle: e[n] is wrapped by 2*pi*m, which is a phase step whose
+    effect on every later e is 2*pi*m*g.  A scan in order applies each
+    slip before it looks for the next, so the result is the loop's up to
+    float rounding.  ``g`` is cut where it falls below SLIP_TAIL, and each
+    slip costs O(len(g)).  Samples must be finite.
     """
-    phase_in = np.angle(bb.samples).tolist()  # plain floats iterate ~2x faster
-    out = [0.0] * len(phase_in)
-    c1, c2 = p.c1, p.c2
-    acc = 0.0       # loop-filter integrator (enters delayed)
-    phi_out = 0.0   # phase-integrator state (enters delayed)
-    two_pi = 2.0 * math.pi
-    gain = bb.fs / two_pi
-    for i, pin in enumerate(phase_in):
-        e = (pin - phi_out + math.pi) % two_pi - math.pi
-        v = acc + c2 * e
-        acc += c1 * e
-        phi_out += v
-        out[i] = v * gain
-    return IfTrack(values=np.asarray(out), fs=bb.fs, offset=0)
+    n = len(bb.samples)
+    g, spectrum, nfft = _loop_kernel(p.c1, p.c2)
+    step = np.diff(np.angle(bb.samples), prepend=0.0)
+    step -= TWO_PI * np.round(step / TWO_PI)
+    err = _overlap_save(step, g, spectrum, nfft)
+    del step
+    pos = 0
+    while pos < n:
+        window = err[pos:pos + SLIP_SCAN]
+        outside = (window < -math.pi) | (window >= math.pi)
+        k = int(np.argmax(outside))
+        if not outside[k]:
+            pos += SLIP_SCAN
+            continue
+        k += pos
+        cycles = math.floor((err[k] + math.pi) / TWO_PI)
+        stop = min(k + len(g), n)
+        err[k:stop] -= (TWO_PI * cycles) * g[:stop - k]
+        pos = k + 1
+    integral = np.cumsum(err[:-1])
+    integral *= p.c1
+    err *= p.c2           # err becomes v, in place
+    err[1:] += integral
+    err *= bb.fs / TWO_PI
+    return IfTrack(values=err, fs=bb.fs, offset=0)
 
 
 def dpll_response(p: DpllParams, freq_hz: float) -> complex:

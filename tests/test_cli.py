@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fcssk import FileFormatError
-from fcssk.cli import (main, parse_csv, read_bits, read_cf32, rows_to_csv,
-                       write_bits, write_cf32)
+from fcssk import FileFormatError, IqBuffer, NonFiniteSampleError
+from fcssk.cli import (main, parse_csv, read_bits, read_cf32, receive_chain,
+                       rows_to_csv, write_bits, write_cf32)
 
 
 def run(args):
@@ -154,6 +154,18 @@ class TestDemodulateCommand:
         assert ber > 0.1
 
 
+class TestReceiveChain:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("use_sync", [True, False])
+    def test_non_finite_sample_named(self, man128, bad, use_sync):
+        samples = np.ones(3 * man128.chirp.n, dtype=complex)
+        samples[100] = bad
+        with pytest.raises(NonFiniteSampleError, match=r"^sample 100 ") as info:
+            receive_chain(IqBuffer(samples, man128.chirp.fs), man128, "dpll", use_sync)
+        assert info.value.index == 100
+        assert "\n" not in str(info.value)
+
+
 class TestSimulateCommand:
     def test_csv_schema_and_determinism(self, tmp_path):
         args = ["simulate", "--bitrate", 512, "--bits", 600, "--seed", 9,
@@ -185,6 +197,13 @@ class TestSimulateCommand:
                     "--snr-start", -30, "--snr-stop", -30, "--out", out]) == 0
         row = parse_csv(out.read_text())[0]
         assert 0.45 <= row["ber"] <= 0.55
+
+    @pytest.mark.parametrize("bits", [-5, 0])
+    def test_non_positive_bits_rejected(self, tmp_path, capsys, bits):
+        out = tmp_path / "a.csv"
+        assert run(["simulate", "--quick", "--bits", bits, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: --bits must be at least 1, got {bits}\n"
+        assert not out.exists()
 
 
 class TestTheoryCommand:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fcssk import (ConfigError, IqBuffer, LlsParams, downconvert, dpll_response,
-                   dpll_track, encode, lls_track, make_dpll_params, modulate,
+from fcssk import (ConfigError, IqBuffer, LlsParams, derive_params, downconvert,
+                   dpll_response, dpll_track, encode, lls_track, make_dpll_params, modulate,
                    reference_chirp)
-from fcssk.ifest import default_cutoff, default_f_nat, design_lowpass
+from fcssk.ifest import default_cutoff, default_dpll, default_f_nat, design_lowpass
+from fcssk.txmod import make_mod_params
 
 
 def tone(freq_hz, n, fs, phase=0.0):
@@ -31,6 +32,15 @@ class TestDpllParams:
 
     def test_default_f_nat_is_half_coded_bit_rate(self, man128):
         assert default_f_nat(man128) == pytest.approx(128.0)
+
+    def test_default_dpll_at_the_operating_point(self, man128):
+        assert default_dpll(man128) == make_dpll_params(man128.chirp.fs, 128.0)
+
+    def test_default_dpll_refuses_a_slope_it_cannot_track(self):
+        # lag 2*pi*k0/(fs*c1) = 3.22 rad: noiseless bursts here decode with errors
+        mp = make_mod_params(derive_params(20743.0, 4.0, 48000, strict=True), "manchester", 64)
+        with pytest.raises(ConfigError, match="lags the chirp slope by 3.22 rad"):
+            default_dpll(mp)
 
 
 class TestDpllTrack:

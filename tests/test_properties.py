@@ -1,11 +1,16 @@
-"""Property tests over every registered code: codec round trips and the
-constant-weight bandwidth invariant."""
+"""Property tests over every registered code: codec round trips, the
+constant-weight bandwidth invariant, and noiseless modem round trips over
+the strict operating envelope."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fcssk import CODE_NAMES, decode, encode, get_code_spec, ideal_deviation_track
+from fcssk import (CODE_NAMES, ConfigError, decode, derive_params, encode, get_code_spec,
+                   ideal_deviation_track, modulate)
+from fcssk.cli import receive_chain
+from fcssk.ifest import default_dpll
 from fcssk.txmod import make_mod_params
 
 
@@ -35,3 +40,47 @@ def test_deviation_is_zero_at_every_codeword_boundary(chirp, case, bitrate):
     cw_len = get_code_spec(code).q * mp.coded_bit_len
     assert len(dev) == len(u) // get_code_spec(code).p * cw_len
     assert np.all(dev[cw_len - 1::cw_len] == 0.0)
+
+
+@st.composite
+def strict_operating_points(draw):
+    """(ModParams, info bits) inside the strict envelope, at the listed
+    sampling rates and at points the receiver's DPLL accepts (it refuses
+    under 25 samples per coded bit and a chirp-slope lag over
+    MAX_SLOPE_LAG).  Lower rates at 512 b/s fail: see
+    test_known_lowpass_failures."""
+    fs = draw(st.sampled_from((16384, 32768, 48000, 65536)))
+    rep_rate = draw(st.sampled_from((2.0, 2.5, 3.0, 4.0)))
+    b0 = draw(st.floats(700.0, fs / 2 - 1))
+    bitrate = draw(st.sampled_from((64, 128, 256, 512)))
+    code = draw(st.sampled_from(CODE_NAMES))
+    try:
+        mp = make_mod_params(derive_params(b0, rep_rate, fs, strict=True), code, bitrate)
+        default_dpll(mp)
+    except ConfigError:
+        assume(False)
+    n_bits = draw(st.integers(1, 6)) * get_code_spec(code).p
+    bits = draw(st.lists(st.integers(0, 1), min_size=n_bits, max_size=n_bits))
+    return mp, np.array(bits, dtype=np.int64)
+
+
+@pytest.mark.parametrize("estimator", ["dpll", "lls"])
+@settings(deadline=None, max_examples=15)
+@given(case=strict_operating_points())
+def test_noiseless_round_trip_over_envelope(case, estimator):
+    mp, bits = case
+    rx = modulate(encode(bits, mp.code, mp.coded_bit_len), mp)
+    decision, _ = receive_chain(rx, mp, estimator, use_sync=False)
+    assert np.array_equal(decision.bits, bits)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the downconvert lowpass (129 taps, cutoff "
+                   "max(4 x peak deviation, 64 Hz)) strips the keyed deviation at low fs")
+@pytest.mark.parametrize("fs,code,estimator", [(24576, "6b8b", "dpll"), (24576, "6b8b", "lls"),
+                                               (16384, "manchester", "lls")])
+def test_known_lowpass_failures(fs, code, estimator):
+    mp = make_mod_params(derive_params(700.0, 4.0, fs, strict=True), code, 512)
+    bits = np.random.default_rng(3).integers(0, 2, 60)
+    rx = modulate(encode(bits, code, mp.coded_bit_len), mp)
+    decision, _ = receive_chain(rx, mp, estimator, use_sync=False)
+    assert np.array_equal(decision.bits, bits)
