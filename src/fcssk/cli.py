@@ -132,15 +132,14 @@ def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
     if use_sync:
         est = sync.estimate_timing(rx, mp.chirp)
         rx = sync.align(rx, est)
-    bb = ifest.downconvert(rx, mp.chirp, ifest.default_cutoff(mp))
+    bb = ifest.downconvert(rx, mp)
     if estimator == "dpll":
         track = ifest.dpll_track(bb, ifest.default_dpll(mp))
     elif estimator == "lls":
         track = ifest.lls_track(bb, ifest.LlsParams(window_len=mp.coded_bit_len))
     else:
         raise FcsskError(f"unknown estimator {estimator!r}")
-    spec = codec.get_code_spec(mp.code)
-    return detect.decide(track, mp, spec), est
+    return detect.decide(track, mp), est
 
 
 def _trial_sizes(total_bits: int, code: str) -> list[int]:
@@ -204,12 +203,12 @@ def run_simulation(cfg: RunConfig) -> list[tuple]:
         rows.append((rec.snr_db, rec.code, rec.bitrate, rec.estimator,
                      rec.bits, rec.errors, rec.ber))
     if cfg.with_theory:
-        rows.extend(theory_rows(cfg))
+        rows.extend(theory_rows(cfg, mp))
     return rows
 
 
-def theory_rows(cfg: RunConfig) -> list[tuple]:
-    points = theory.theory_curve(cfg.code, cfg.bitrate, cfg.chirp, snr_grid(cfg))
+def theory_rows(cfg: RunConfig, mp: txmod.ModParams) -> list[tuple]:
+    points = theory.theory_curve(mp, snr_grid(cfg))
     return [(p.snr_db, p.code, p.bitrate, "crb", 0, 0, p.pe) for p in points]
 
 
@@ -367,8 +366,8 @@ def _chirp_from_args(args) -> ChirpParams:
 
 def _config_from_args(args) -> RunConfig:
     bits = args.bits
-    if args.quick and bits == DEFAULT_BITS:
-        bits = QUICK_BITS
+    if bits is None:
+        bits = QUICK_BITS if args.quick else DEFAULT_BITS
     return RunConfig(chirp=_chirp_from_args(args), code=args.code,
                      bitrate=args.bitrate, estimator=args.estimator,
                      snr_start=args.snr_start, snr_stop=args.snr_stop,
@@ -402,7 +401,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_theory(args) -> int:
     cfg = _config_from_args(args)
-    _write_text(args.outfile, rows_to_csv(theory_rows(cfg)))
+    mp = txmod.make_mod_params(cfg.chirp, cfg.code, cfg.bitrate)
+    _write_text(args.outfile, rows_to_csv(theory_rows(cfg, mp)))
     return 0
 
 
@@ -426,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--snr-start", type=float, default=-30.0)
     common.add_argument("--snr-stop", type=float, default=30.0)
     common.add_argument("--snr-step", type=float, default=2.0)
-    common.add_argument("--bits", type=int, default=DEFAULT_BITS, help="info bits per SNR point")
+    common.add_argument("--bits", type=int, default=None,
+                        help=f"info bits per SNR point (default {DEFAULT_BITS})")
     common.add_argument("--seed", type=int, default=1)
     common.add_argument("--no-sync", action="store_true")
     common.add_argument("--with-theory", action="store_true")

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codec import CodeSpec, encode, get_code_spec, unpack_values
+from .codec import encode, get_code_spec, unpack_values
 from .errors import ConfigError
 from .sigcore import IfTrack
 from .txmod import ModParams, ideal_deviation_track
@@ -41,10 +41,11 @@ def template_bank(mp: ModParams) -> np.ndarray:
     return np.asarray(rows)
 
 
-def decide(track: IfTrack, mp: ModParams, code: CodeSpec) -> Decision:
+def decide(track: IfTrack, mp: ModParams) -> Decision:
     """Max-correlation codeword decision; ties go to the lowest value."""
+    p = get_code_spec(mp.code).p
     values = np.asarray(track.values, dtype=np.float64)
-    seg_len = code.p * mp.m  # == code.q * mp.coded_bit_len
+    seg_len = p * mp.m  # == q * mp.coded_bit_len
     n_seg = len(values) // seg_len
     if n_seg == 0:
         raise ConfigError(f"track of {len(values)} samples holds no full "
@@ -55,5 +56,5 @@ def decide(track: IfTrack, mp: ModParams, code: CodeSpec) -> Decision:
     win = scores[np.arange(n_seg), best]
     norm = np.linalg.norm(segments, axis=1)
     metrics = np.divide(win, norm, out=np.zeros_like(win), where=norm > 0)
-    return Decision(bits=unpack_values(best, code.p), metrics=metrics,
+    return Decision(bits=unpack_values(best, p), metrics=metrics,
                     tail_samples=len(values) - n_seg * seg_len)

@@ -25,10 +25,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .sigcore import ChirpParams, IfTrack, IqBuffer, periodic_reference
+from .sigcore import IfTrack, IqBuffer, periodic_reference
 from .txmod import ModParams, peak_deviation
 
-LOWPASS_TAPS = 129
+LOWPASS_SPAN_S = 128 / 65536  # lowpass length, s: 128 sample intervals at 65536 S/s
 MIN_CUTOFF_HZ = 64.0
 MAX_SLOPE_LAG = math.pi / 2   # rad: half the phase detector's range, half kept for noise
 SLIP_TAIL = 1e-20     # step-response magnitude below which a slip's effect ends
@@ -47,9 +47,8 @@ class DpllParams:
 
 @dataclass(frozen=True)
 class LlsParams:
+    window_len: int       # samples (L); normally the coded-bit length
     degree: int = 5       # phase polynomial degree (lambda)
-    window_len: int = 0   # samples (L); normally the coded-bit length
-    stride: int = 0       # window advance; 0 = window_len // 4
 
 
 def make_dpll_params(fs: int, f_nat: float, zeta: float = 1.0 / math.sqrt(2.0)) -> DpllParams:
@@ -96,29 +95,33 @@ def default_cutoff(mp: ModParams) -> float:
     return max(4.0 * peak_deviation(mp), MIN_CUTOFF_HZ)
 
 
-def design_lowpass(cutoff_hz: float, fs: int, num_taps: int = LOWPASS_TAPS) -> np.ndarray:
-    """Linear-phase windowed-sinc lowpass (raised-cosine window), unity DC gain."""
-    if not 0 < cutoff_hz < fs / 2:
-        raise ConfigError(f"cutoff {cutoff_hz} Hz outside (0, fs/2)")
-    if num_taps % 2 == 0:
-        raise ConfigError("num_taps must be odd for integer group delay")
-    m = np.arange(num_taps) - (num_taps - 1) / 2
-    h = 2.0 * cutoff_hz / fs * np.sinc(2.0 * cutoff_hz / fs * m)
-    window = 0.5 + 0.5 * np.cos(np.pi * m / ((num_taps - 1) / 2))
+def design_lowpass(cutoff: float, fs: int) -> np.ndarray:
+    """Linear-phase windowed-sinc lowpass (raised-cosine window), unity DC gain.
+
+    It spans LOWPASS_SPAN_S at every fs (an odd tap count, at least 3), so
+    its response in Hz, transition band included, does not depend on fs.
+    """
+    if not 0 < cutoff < fs / 2:
+        raise ConfigError(f"cutoff {cutoff} Hz outside (0, fs/2)")
+    taps = max(round(LOWPASS_SPAN_S * fs), 2) | 1
+    m = np.arange(taps) - (taps - 1) / 2
+    h = 2.0 * cutoff / fs * np.sinc(2.0 * cutoff / fs * m)
+    window = 0.5 + 0.5 * np.cos(np.pi * m / ((taps - 1) / 2))
     h *= window
     return h / h.sum()
 
 
-def downconvert(rx: IqBuffer, params: ChirpParams, cutoff_hz: float = MIN_CUTOFF_HZ) -> IqBuffer:
-    """Mix against the local reference and lowpass the product.
+def downconvert(rx: IqBuffer, mp: ModParams) -> IqBuffer:
+    """Mix against the local reference and lowpass the product at
+    ``default_cutoff(mp)``.
 
     The FIR group delay of (taps-1)/2 samples is compensated by shifting
     the output, so the baseband stays sample-aligned with the input.
     """
     x = rx.samples
-    ref = periodic_reference(params, len(x))
+    ref = periodic_reference(mp.chirp, len(x))
     bb = x * np.conj(ref)
-    h = design_lowpass(cutoff_hz, rx.fs)
+    h = design_lowpass(default_cutoff(mp), rx.fs)
     delay = (len(h) - 1) // 2
     filtered = np.convolve(bb, h)[delay:delay + len(bb)]
     return IqBuffer(samples=filtered, fs=rx.fs)
@@ -252,10 +255,10 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> IfTrack:
     samples is fitted with a degree-``degree`` polynomial via the
     precomputed least-squares projector (the time matrix is
     window-relative, hence identical for all windows), and the fit's
-    derivative is emitted over the central ``stride`` samples.  The first
-    and last windows also cover their outer edges so the track spans the
-    whole input.  All middle windows are solved in one batched matrix
-    product over a strided view of the phase.
+    derivative is emitted over the central ``window_len // 4`` samples.
+    The first and last windows also cover their outer edges so the track
+    spans the whole input.  All middle windows are solved in one batched
+    matrix product over a strided view of the phase.
     """
     if p.degree < 2:
         raise ConfigError("polynomial degree must be >= 2")
@@ -265,20 +268,19 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> IfTrack:
     total = len(bb.samples)
     if total < window:
         raise ConfigError(f"signal ({total}) shorter than window ({window})")
-    stride = p.stride if p.stride > 0 else max(window // 4, 1)
-    stride = min(stride, window)
-    lead = (window - stride) // 2
+    hop = window // 4   # >= 1: window > degree + 1 >= 3
+    lead = (window - hop) // 2
 
     d_op, scale = _lls_design(p.degree, window)
     gain = scale * bb.fs
     phi = np.unwrap(np.angle(bb.samples))
     out = np.empty(total)
 
-    windows = np.lib.stride_tricks.sliding_window_view(phi, window)[::stride]
-    out[lead:lead + windows.shape[0] * stride] = \
-        (windows @ d_op[lead:lead + stride].T).ravel() * gain
+    windows = np.lib.stride_tricks.sliding_window_view(phi, window)[::hop]
+    out[lead:lead + windows.shape[0] * hop] = \
+        (windows @ d_op[lead:lead + hop].T).ravel() * gain
     out[:lead] = (d_op[:lead] @ phi[:window]) * gain
-    pos = lead + windows.shape[0] * stride
+    pos = lead + windows.shape[0] * hop
     if pos < total:
         start_f = total - window
         out[pos:] = (d_op[pos - start_f:] @ phi[start_f:]) * gain

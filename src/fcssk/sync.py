@@ -57,11 +57,13 @@ class SyncEstimate:
     confidence: float   # rejected/chosen candidate spread ratio (>= 1 is good)
 
 
-def _avg_periodogram(rx: np.ndarray, params: ChirpParams) -> np.ndarray:
+def _mixed_periodogram(rx: np.ndarray, params: ChirpParams, start: int,
+                       periods: int) -> np.ndarray:
+    """One-period periodogram of rx[start:] * conj(reference), averaged
+    over ``periods`` chirp periods."""
     n = params.n
-    k = min(MAX_COARSE_PERIODS, len(rx) // n)
-    z = rx[:k * n] * np.conj(periodic_reference(params, k * n))
-    return (np.abs(np.fft.fft(z.reshape(k, n), axis=1)) ** 2).mean(axis=0)
+    z = rx[start:start + periods * n] * np.conj(periodic_reference(params, periods * n))
+    return (np.abs(np.fft.fft(z.reshape(periods, n), axis=1)) ** 2).mean(axis=0)
 
 
 def _banded_spread(rx: np.ndarray, params: ChirpParams, tau: float) -> float:
@@ -72,8 +74,7 @@ def _banded_spread(rx: np.ndarray, params: ChirpParams, tau: float) -> float:
     k = min(8, (len(rx) - t) // n)
     if k < 1:
         return np.inf
-    z = rx[t:t + k * n] * np.conj(periodic_reference(params, k * n))
-    p = (np.abs(np.fft.fft(z.reshape(k, n), axis=1)) ** 2).mean(axis=0)
+    p = _mixed_periodogram(rx, params, t, k)
     f = np.fft.fftfreq(n, 1.0 / params.fs)
     band = np.abs(f) <= SPREAD_BAND_HZ
     total = float(np.sum(p[band]))
@@ -129,7 +130,7 @@ def estimate_timing(rx: IqBuffer, params: ChirpParams) -> SyncEstimate:
     n = params.n
     if len(x) < n:
         raise ConfigError(f"need at least one period ({n} samples), got {len(x)}")
-    p = _avg_periodogram(x, params)
+    p = _mixed_periodogram(x, params, 0, min(MAX_COARSE_PERIODS, len(x) // n))
     peak_bin = int(np.argmax(p))
     floor = float(np.median(p))
     if not p[peak_bin] > PEAK_FLOOR_RATIO * floor:

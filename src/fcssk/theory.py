@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .codec import get_code_spec
 from .errors import ConfigError
-from .sigcore import ChirpParams
+from .txmod import ModParams
 
 
 @dataclass(frozen=True)
@@ -16,7 +16,7 @@ class TheoryPoint:
     snr_db: float
     code: str
     bitrate: int
-    n_obs: int      # observation window, samples
+    n_obs: int      # observation window: the coded-bit duration, samples
     var_f: float    # CRB of the IF estimate, Hz^2
     e_b: float      # per-bit deviation energy, sample-domain units
     pe: float       # ideal-estimator bit error probability
@@ -37,21 +37,15 @@ def crb_variance(snr_linear: float, n_obs: int, fs: float) -> float:
     return 12.0 * fs * fs / ((2.0 * math.pi) ** 2 * snr_linear * n_obs * (n_obs ** 2 - 1))
 
 
-def observation_window(code: str, m: int) -> int:
-    """Fair-comparison window: the coded-bit duration M*p/q (M/2 or 3M/4)."""
-    spec = get_code_spec(code)
-    return m * spec.p // spec.q
-
-
-def bit_energy(code: str, params: ChirpParams, m: int) -> float:
+def bit_energy(mp: ModParams) -> float:
     """Deviation energy per info bit (area below the baseband IF curve).
 
     Manchester: a triangle of length M and height B0*M/N gives B0*M^2/(2N);
     a p/q code's deviation is 2p/q larger in both length and height, i.e.
     (2p/q)^2 the Manchester energy (9/4 for 6b8b).
     """
-    spec = get_code_spec(code)
-    e_man = params.b0 * m * m / (2.0 * params.n)
+    spec = get_code_spec(mp.code)
+    e_man = mp.chirp.b0 * mp.m * mp.m / (2.0 * mp.chirp.n)
     return e_man * (2 * spec.p / spec.q) ** 2
 
 
@@ -65,34 +59,32 @@ def pe_crb(e_b: float, var_f: float) -> float:
     return q_function(math.sqrt(2.0 * e_b / var_f))
 
 
-def theory_point(code: str, bitrate: int, params: ChirpParams, snr_db: float) -> TheoryPoint:
-    if bitrate <= 0 or params.fs % bitrate:
-        raise ConfigError(f"bitrate {bitrate} must divide fs={params.fs}")
-    m = params.fs // bitrate
-    n_obs = observation_window(code, m)
-    var_f = crb_variance(10.0 ** (snr_db / 10.0), n_obs, params.fs)
-    e_b = bit_energy(code, params, m)
-    return TheoryPoint(snr_db=float(snr_db), code=code, bitrate=int(bitrate),
+def theory_point(mp: ModParams, snr_db: float) -> TheoryPoint:
+    """CRB point over the fair-comparison window, one coded bit (M*p/q)."""
+    n_obs = mp.coded_bit_len
+    var_f = crb_variance(10.0 ** (snr_db / 10.0), n_obs, mp.chirp.fs)
+    e_b = bit_energy(mp)
+    return TheoryPoint(snr_db=float(snr_db), code=mp.code, bitrate=mp.bitrate,
                        n_obs=n_obs, var_f=var_f, e_b=e_b, pe=pe_crb(e_b, var_f))
 
 
-def theory_curve(code: str, bitrate: int, params: ChirpParams,
-                 snr_grid_db) -> list[TheoryPoint]:
+def theory_curve(mp: ModParams, snr_grid_db) -> list[TheoryPoint]:
     grid = list(snr_grid_db)
     if not grid:
         raise ConfigError("snr grid must be nonempty")
-    return [theory_point(code, bitrate, params, snr) for snr in grid]
+    return [theory_point(mp, snr) for snr in grid]
 
 
-def snr_at_pe(code: str, bitrate: int, params: ChirpParams, target_pe: float,
-              lo_db: float = -60.0, hi_db: float = 60.0) -> float:
-    """SNR (dB) where the theory curve crosses target_pe, by bisection."""
+def snr_at_pe(mp: ModParams, target_pe: float) -> float:
+    """SNR (dB) where the theory curve crosses target_pe, by bisection
+    over [-60, 60] dB."""
     if not 0.0 < target_pe < 0.5:
         raise ConfigError("target_pe must be in (0, 0.5)")
+    lo, hi = -60.0, 60.0
     for _ in range(200):
-        mid = 0.5 * (lo_db + hi_db)
-        if theory_point(code, bitrate, params, mid).pe > target_pe:
-            lo_db = mid
+        mid = 0.5 * (lo + hi)
+        if theory_point(mp, mid).pe > target_pe:
+            lo = mid
         else:
-            hi_db = mid
-    return 0.5 * (lo_db + hi_db)
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -92,19 +92,20 @@ def test_criterion_04_energy_ratio(chirp):
     """E_b(6b8b) / E_b(Manchester) = 9/4 exactly at every bitrate."""
     ratios = []
     for bitrate in (128, 256, 512):
-        m = chirp.fs // bitrate
-        ratios.append(bit_energy("6b8b", chirp, m) / bit_energy("manchester", chirp, m))
+        ratios.append(bit_energy(make_mod_params(chirp, "6b8b", bitrate))
+                      / bit_energy(make_mod_params(chirp, "manchester", bitrate)))
     report(4, f"energy ratios {ratios}", all(r == 2.25 for r in ratios))
 
 
 def test_criterion_05_theory_curves(chirp):
     """Manchester 128->256 b/s CRB curves separated by 15.05 +- 0.1 dB at
     pe=1e-3; 6b8b curve strictly left of Manchester for pe in [1e-4, 0.4]."""
-    shift = snr_at_pe("manchester", 256, chirp, 1e-3) \
-        - snr_at_pe("manchester", 128, chirp, 1e-3)
+    def snr(code, bitrate, pe):
+        return snr_at_pe(make_mod_params(chirp, code, bitrate), pe)
+
+    shift = snr("manchester", 256, 1e-3) - snr("manchester", 128, 1e-3)
     shift_ok = abs(shift - 15.05) <= 0.1
-    left_ok = all(snr_at_pe("6b8b", r, chirp, float(pe)) <
-                  snr_at_pe("manchester", r, chirp, float(pe))
+    left_ok = all(snr("6b8b", r, float(pe)) < snr("manchester", r, float(pe))
                   for r in (128, 256, 512)
                   for pe in np.geomspace(1e-4, 0.4, 13))
     report(5, f"CRB shift {shift:.3f} dB; 6b8b left of Manchester: {left_ok}",

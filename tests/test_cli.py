@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fcssk import FileFormatError, IqBuffer, NonFiniteSampleError
-from fcssk.cli import (main, parse_csv, read_bits, read_cf32, receive_chain,
-                       rows_to_csv, write_bits, write_cf32)
+from fcssk.cli import (_config_from_args, build_parser, main, parse_csv, read_bits,
+                       read_cf32, receive_chain, rows_to_csv, write_bits, write_cf32)
 
 
 def run(args):
@@ -198,6 +198,13 @@ class TestSimulateCommand:
         row = parse_csv(out.read_text())[0]
         assert 0.45 <= row["ber"] <= 0.55
 
+    @pytest.mark.parametrize("args,bits", [([], 100_000), (["--quick"], 10_000),
+                                           (["--quick", "--bits", "100000"], 100_000),
+                                           (["--quick", "--bits", "600"], 600)])
+    def test_quick_yields_to_explicit_bits(self, args, bits):
+        parsed = build_parser().parse_args(["simulate"] + args)
+        assert _config_from_args(parsed).bits == bits
+
     @pytest.mark.parametrize("bits", [-5, 0])
     def test_non_positive_bits_rejected(self, tmp_path, capsys, bits):
         out = tmp_path / "a.csv"
@@ -215,6 +222,14 @@ class TestTheoryCommand:
         bers = [r["ber"] for r in rows]
         assert all(a >= b for a, b in zip(bers, bers[1:]))
         assert all(r["estimator"] == "crb" for r in rows)
+
+    def test_fractional_coded_bit_rejected(self, tmp_path, capsys):
+        # 6b8b at 16000 b/s and 48000 S/s: a coded bit of 3*6/8 samples
+        out = tmp_path / "t.csv"
+        assert run(["theory", "--code", "6b8b", "--fs", 48000, "--bitrate", 16000,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == "error: coded bit length 6*M/8 not integer for M=3\n"
+        assert not out.exists()
 
 
 class TestPlotCommand:

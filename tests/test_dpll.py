@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from fcssk import (ConfigError, DpllParams, IfTrack, IqBuffer, apply_awgn, decide,
-                   downconvert, dpll_track, encode, get_code_spec, make_dpll_params,
-                   make_mod_params, modulate)
-from fcssk.ifest import default_cutoff, default_f_nat
+                   downconvert, dpll_track, encode, make_dpll_params, make_mod_params,
+                   modulate)
+from fcssk.ifest import default_f_nat
 
 TOLERANCE_HZ = 1e-5
 
@@ -49,7 +49,7 @@ def received_baseband(chirp, code, bitrate, snr_db, seed, n_bits=2004):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, n_bits)
     rx = apply_awgn(modulate(encode(bits, code, mp.coded_bit_len), mp), snr_db, rng)
-    return downconvert(rx, chirp, default_cutoff(mp)), mp, bits
+    return downconvert(rx, mp), mp, bits
 
 
 @pytest.mark.parametrize("code,bitrate", [("manchester", 128), ("6b8b", 512)])
@@ -61,9 +61,8 @@ def test_matches_loop_and_its_decisions(chirp, code, bitrate, snr_db):
     got = dpll_track(bb, p)
     assert len(got) == len(expected) and got.fs == chirp.fs and got.offset == 0
     np.testing.assert_allclose(got.values, expected, rtol=0, atol=TOLERANCE_HZ)
-    spec = get_code_spec(code)
-    ref_bits = decide(IfTrack(expected, chirp.fs), mp, spec).bits
-    assert np.array_equal(decide(got, mp, spec).bits, ref_bits)
+    ref_bits = decide(IfTrack(expected, chirp.fs), mp).bits
+    assert np.array_equal(decide(got, mp).bits, ref_bits)
     if snr_db is None:
         assert slips == 0
         assert np.array_equal(ref_bits, bits)

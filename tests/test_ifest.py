@@ -150,6 +150,26 @@ class TestLowpass:
     def test_group_delay_is_integer(self, chirp):
         assert len(design_lowpass(64.0, chirp.fs)) % 2 == 1
 
+    @pytest.mark.parametrize("fs,taps", [(65536, 129), (48000, 95), (28672, 57),
+                                         (16384, 33), (600, 3)])
+    def test_fixed_duration(self, fs, taps):
+        # 128 sample intervals at 65536 S/s, rounded to an odd length of at least 3
+        h = design_lowpass(64.0, fs)
+        assert len(h) == taps and np.isfinite(h).all()
+
+    def test_window_sinc_at_65536(self):
+        # the 129-tap raised-cosine windowed sinc, written out independently
+        m = np.arange(129) - 64
+        h = 2 * 200 / 65536 * np.sinc(2 * 200 / 65536 * m) * (0.5 + 0.5 * np.cos(np.pi * m / 64))
+        assert np.array_equal(design_lowpass(200.0, 65536), h / h.sum())
+
+    @pytest.mark.parametrize("f_hz", [64.0, 128.0, 256.0, 512.0])
+    def test_response_in_hz_independent_of_fs(self, f_hz):
+        def gain(fs):
+            h = design_lowpass(64.0, fs)
+            return abs(np.sum(h * np.exp(-2j * np.pi * f_hz * np.arange(len(h)) / fs)))
+        assert gain(16384) == pytest.approx(gain(65536), abs=0.02)
+
     def test_default_cutoff_floor(self, chirp, man128):
         assert default_cutoff(man128) == pytest.approx(64.0)
 
@@ -157,7 +177,7 @@ class TestLowpass:
 class TestDownconvert:
     def test_self_mix_is_dc(self, chirp, man128):
         rx = reference_chirp(chirp, 1)
-        bb = downconvert(rx, chirp, default_cutoff(man128))
+        bb = downconvert(rx, man128)
         phase = np.unwrap(np.angle(bb.samples))
         skip = 256  # filter transient
         if_est = np.diff(phase[skip:-skip]) * chirp.fs / (2 * np.pi)
@@ -165,7 +185,7 @@ class TestDownconvert:
 
     def test_manchester_triangle_visible(self, chirp, man128):
         frame = encode([1, 0, 1, 1], "manchester", man128.coded_bit_len)
-        bb = downconvert(modulate(frame, man128), chirp, default_cutoff(man128))
+        bb = downconvert(modulate(frame, man128), man128)
         phase = np.unwrap(np.angle(bb.samples))
         if_est = np.diff(phase) * chirp.fs / (2 * np.pi)
         peak_region = if_est[200:312]  # around the first bit's midpoint

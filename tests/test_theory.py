@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fcssk import (ConfigError, bit_energy, crb_variance, pe_crb, q_function,
-                   snr_at_pe, theory_curve)
+from fcssk import (ConfigError, bit_energy, crb_variance, make_mod_params, pe_crb,
+                   q_function, snr_at_pe, theory_curve, theory_point)
+
+
+@pytest.fixture()
+def mod(chirp):
+    """ModParams at the simulation operating point, by code and bitrate."""
+    return lambda code, bitrate: make_mod_params(chirp, code, bitrate)
 
 
 class TestCrbVariance:
@@ -21,11 +27,11 @@ class TestCrbVariance:
         ratio = crb_variance(1.0, 256, 2 * 65536) / crb_variance(1.0, 256, 65536)
         assert ratio == 4.0
 
-    def test_observation_windows(self, chirp):
-        from fcssk.theory import observation_window
-        m = chirp.fs // 128
-        assert observation_window("manchester", m) == m // 2
-        assert observation_window("6b8b", m) == 3 * m // 4
+    def test_observation_windows(self, mod):
+        # the fair-comparison window is one coded bit: M/2 or 3M/4
+        m = 65536 // 128
+        assert theory_point(mod("manchester", 128), 0.0).n_obs == m // 2
+        assert theory_point(mod("6b8b", 128), 0.0).n_obs == 3 * m // 4
 
     def test_rejects_degenerate(self):
         with pytest.raises(ConfigError):
@@ -35,17 +41,17 @@ class TestCrbVariance:
 
 
 class TestBitEnergy:
-    def test_manchester_at_128(self, chirp):
-        assert bit_energy("manchester", chirp, 512) == 8192.0
+    def test_manchester_at_128(self, mod):
+        assert bit_energy(mod("manchester", 128)) == 8192.0
 
-    def test_6b8b_is_nine_quarters(self, chirp):
-        assert bit_energy("6b8b", chirp, 512) == 18432.0
-        for m in (512, 256, 128):
-            ratio = bit_energy("6b8b", chirp, m) / bit_energy("manchester", chirp, m)
+    def test_6b8b_is_nine_quarters(self, mod):
+        assert bit_energy(mod("6b8b", 128)) == 18432.0
+        for bitrate in (128, 256, 512):
+            ratio = bit_energy(mod("6b8b", bitrate)) / bit_energy(mod("manchester", bitrate))
             assert ratio == 2.25
 
-    def test_quadratic_in_m(self, chirp):
-        assert bit_energy("manchester", chirp, 1024) == 4 * bit_energy("manchester", chirp, 512)
+    def test_quadratic_in_m(self, mod):
+        assert bit_energy(mod("manchester", 64)) == 4 * bit_energy(mod("manchester", 128))
 
 
 class TestPeCrb:
@@ -68,27 +74,26 @@ class TestPeCrb:
 
 
 class TestTheoryCurve:
-    def test_single_point_matches_pe_crb(self, chirp):
-        point = theory_curve("manchester", 128, chirp, [0.0])[0]
+    def test_single_point_matches_pe_crb(self, mod):
+        point = theory_curve(mod("manchester", 128), [0.0])[0]
         assert point.pe == pe_crb(point.e_b, point.var_f)
         assert point.n_obs == 256
 
-    def test_bitrate_shift_at_1e_minus_3(self, chirp):
+    def test_bitrate_shift_at_1e_minus_3(self, mod):
         # forced by the CRB and energy formulas: 10*log10(4 * (N1(N1^2-1))/(N2(N2^2-1)))
-        shift = snr_at_pe("manchester", 256, chirp, 1e-3) \
-            - snr_at_pe("manchester", 128, chirp, 1e-3)
+        shift = snr_at_pe(mod("manchester", 256), 1e-3) - snr_at_pe(mod("manchester", 128), 1e-3)
         assert shift == pytest.approx(15.05, abs=0.1)
 
-    def test_6b8b_left_of_manchester(self, chirp):
+    def test_6b8b_left_of_manchester(self, mod):
         for pe in np.geomspace(1e-4, 0.4, 9):
-            assert snr_at_pe("6b8b", 128, chirp, float(pe)) \
-                < snr_at_pe("manchester", 128, chirp, float(pe))
+            assert snr_at_pe(mod("6b8b", 128), float(pe)) \
+                < snr_at_pe(mod("manchester", 128), float(pe))
 
-    def test_monotone_in_snr(self, chirp):
+    def test_monotone_in_snr(self, mod):
         grid = list(range(-30, 32, 2))
-        pes = [p.pe for p in theory_curve("6b8b", 256, chirp, grid)]
+        pes = [p.pe for p in theory_curve(mod("6b8b", 256), grid)]
         assert all(a >= b for a, b in zip(pes, pes[1:]))
 
-    def test_empty_grid_rejected(self, chirp):
+    def test_empty_grid_rejected(self, mod):
         with pytest.raises(ConfigError):
-            theory_curve("manchester", 128, chirp, [])
+            theory_curve(mod("manchester", 128), [])
