@@ -101,21 +101,17 @@ def read_cf32(path: str) -> np.ndarray:
         raise FileFormatError(
             f"{path}: length {len(raw)} is not a multiple of 8 bytes "
             "(interleaved float32 I,Q pairs)", offset=len(raw) - len(raw) % 8)
-    flat = np.frombuffer(raw, dtype="<f4")
-    finite = np.isfinite(flat)
+    finite = np.isfinite(np.frombuffer(raw, dtype="<f4"))
     if not finite.all():
         offset = 8 * (int(np.argmin(finite)) // 2)  # start of the first bad I,Q pair
         raise FileFormatError(f"{path}: non-finite sample at byte offset {offset}",
                               offset=offset)
-    return (flat[0::2] + 1j * flat[1::2]).astype(np.complex128)
+    return np.frombuffer(raw, dtype="<c8").astype(np.complex128)
 
 
 def write_cf32(path: str, samples: np.ndarray) -> None:
-    flat = np.empty(2 * len(samples), dtype="<f4")
-    flat[0::2] = samples.real
-    flat[1::2] = samples.imag
     with open(path, "wb") as fh:
-        fh.write(flat.tobytes())
+        samples.astype("<c8").tofile(fh)
 
 
 # ----------------------------------------------------------- receive chain
@@ -228,20 +224,27 @@ def rows_to_csv(rows: list[tuple]) -> str:
 
 
 def parse_csv(text: str, path: str = "<csv>") -> list[dict]:
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    lines = [(number, ln) for number, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
         raise FileFormatError(f"{path}: empty CSV")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     for column in CSV_HEADER.split(","):
         if column not in header:
             raise FileFormatError(f"{path}: missing column {column!r}")
     rows = []
-    for ln in lines[1:]:
-        fields = dict(zip(header, ln.split(",")))
-        rows.append({"snr_db": float(fields["snr_db"]), "code": fields["code"],
-                     "bitrate": int(fields["bitrate"]), "estimator": fields["estimator"],
-                     "bits": int(fields["bits"]), "errors": int(fields["errors"]),
-                     "ber": float(fields["ber"])})
+    for number, ln in lines[1:]:
+        values = ln.split(",")
+        if len(values) != len(header):
+            raise FileFormatError(f"{path}: line {number} has {len(values)} fields, "
+                                  f"the header has {len(header)}")
+        fields = dict(zip(header, values))
+        try:
+            rows.append({"snr_db": float(fields["snr_db"]), "code": fields["code"],
+                         "bitrate": int(fields["bitrate"]), "estimator": fields["estimator"],
+                         "bits": int(fields["bits"]), "errors": int(fields["errors"]),
+                         "ber": float(fields["ber"])})
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: line {number}: {exc}") from None
     if not rows:
         raise FileFormatError(f"{path}: CSV has a header but no data rows")
     return rows

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .sigcore import IfTrack, IqBuffer, periodic_reference
+from .sigcore import IfTrack, IqBuffer, periodic_reference, unwrap_phase
 from .txmod import ModParams, peak_deviation
 
 LOWPASS_SPAN_S = 128 / 65536  # lowpass length, s: 128 sample intervals at 65536 S/s
@@ -33,6 +33,7 @@ MIN_CUTOFF_HZ = 64.0
 MAX_SLOPE_LAG = math.pi / 2   # rad: half the phase detector's range, half kept for noise
 SLIP_TAIL = 1e-20     # step-response magnitude below which a slip's effect ends
 SLIP_SCAN = 8192      # samples checked per step of the cycle-slip scan
+OVERLAP_SAVE_SPAN = 1 << 17   # input samples per batched FFT of the overlap-save blocks
 TWO_PI = 2.0 * math.pi
 
 
@@ -111,20 +112,30 @@ def design_lowpass(cutoff: float, fs: int) -> np.ndarray:
     return h / h.sum()
 
 
+@lru_cache(maxsize=8)
+def _lowpass_kernel(cutoff: float, fs: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``design_lowpass(cutoff, fs)``, its complex overlap-save spectrum,
+    and the FFT size."""
+    h = design_lowpass(cutoff, fs)
+    nfft = _fft_size(len(h))
+    spectrum = np.fft.fft(h, nfft)
+    h.flags.writeable = spectrum.flags.writeable = False  # shared by every caller
+    return h, spectrum, nfft
+
+
 def downconvert(rx: IqBuffer, mp: ModParams) -> IqBuffer:
     """Mix against the local reference and lowpass the product at
-    ``default_cutoff(mp)``.
+    ``default_cutoff(mp)``, by overlap-save FFT convolution.
 
     The FIR group delay of (taps-1)/2 samples is compensated by shifting
     the output, so the baseband stays sample-aligned with the input.
     """
     x = rx.samples
-    ref = periodic_reference(mp.chirp, len(x))
-    bb = x * np.conj(ref)
-    h = design_lowpass(default_cutoff(mp), rx.fs)
-    delay = (len(h) - 1) // 2
-    filtered = np.convolve(bb, h)[delay:delay + len(bb)]
-    return IqBuffer(samples=filtered, fs=rx.fs)
+    bb = np.conj(periodic_reference(mp.chirp, len(x)))
+    np.multiply(x, bb, out=bb)
+    h, spectrum, nfft = _lowpass_kernel(default_cutoff(mp), rx.fs)
+    return IqBuffer(samples=_overlap_save(bb, h, spectrum, nfft, lag=(len(h) - 1) // 2),
+                    fs=rx.fs)
 
 
 def _phase_step_response(c1: float, c2: float, n: int) -> np.ndarray:
@@ -162,23 +173,51 @@ def _loop_kernel(c1: float, c2: float) -> tuple[np.ndarray, np.ndarray, int]:
     span = 2 + math.ceil(math.log(SLIP_TAIL * 1e-4) / math.log(max(radius, 0.5)))
     g = _phase_step_response(c1, c2, span)
     g = g[:int(np.flatnonzero(np.abs(g) > SLIP_TAIL)[-1]) + 1]
-    nfft = 1 << (8 * len(g) - 1).bit_length()   # blocks of ~8x the taps ran fastest
+    nfft = _fft_size(len(g))
     spectrum = np.fft.rfft(g, nfft)
     g.flags.writeable = spectrum.flags.writeable = False  # shared by every caller
     return g, spectrum, nfft
 
 
-def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int) -> np.ndarray:
-    """First len(x) samples of the linear convolution x * h, all blocks in
-    one batched FFT; ``spectrum`` is rfft(h, nfft)."""
-    keep = nfft - len(h) + 1
-    blocks = -(-len(x) // keep)
-    padded = np.zeros(blocks * keep + nfft)
-    padded[len(h) - 1:len(h) - 1 + len(x)] = x
-    segments = np.lib.stride_tricks.sliding_window_view(padded, nfft)[::keep][:blocks]
-    product = np.fft.rfft(segments, axis=1)
-    product *= spectrum
-    return np.fft.irfft(product, nfft, axis=1)[:, len(h) - 1:].ravel()[:len(x)]
+def _fft_size(taps: int) -> int:
+    """Overlap-save FFT size for a filter of ``taps`` taps: blocks of
+    about 8x the taps ran fastest."""
+    return 1 << (8 * taps - 1).bit_length()
+
+
+def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
+                  lag: int = 0) -> np.ndarray:
+    """Samples lag .. lag+len(x)-1 of the linear convolution x * h.
+
+    ``spectrum`` is rfft(h, nfft) for real ``x`` and fft(h, nfft) for
+    complex ``x``.  The blocks go through batched FFTs in groups of about
+    OVERLAP_SAVE_SPAN samples; each group is a view of ``x`` (a
+    zero-padded copy only at the two ends) and lands in one preallocated
+    output, so the memory beyond that output stays bounded.
+    """
+    n, taps = len(x), len(h)
+    keep = nfft - taps + 1
+    if np.iscomplexobj(x):
+        forward, inverse = np.fft.fft, np.fft.ifft
+    else:
+        forward, inverse = np.fft.rfft, np.fft.irfft
+    group = max(OVERLAP_SAVE_SPAN // keep, 1)       # blocks per batched FFT
+    total = -(-n // keep)
+    out = np.empty((total, keep), dtype=x.dtype)
+    for first in range(0, total, group):
+        blocks = min(group, total - first)
+        lo = first * keep + lag - (taps - 1)       # index in x of the group's first sample
+        hi = lo + blocks * keep + taps - 1
+        if 0 <= lo and hi <= n:
+            span = x[lo:hi]
+        else:
+            span = np.zeros(hi - lo, dtype=x.dtype)
+            span[max(-lo, 0):min(hi, n) - lo] = x[max(lo, 0):min(hi, n)]
+        segments = np.lib.stride_tricks.sliding_window_view(span, nfft)[::keep]
+        product = forward(segments, axis=1)
+        product *= spectrum
+        out[first:first + blocks] = inverse(product, nfft, axis=1)[:, taps - 1:]
+    return out.reshape(-1)[:n]
 
 
 def dpll_track(bb: IqBuffer, p: DpllParams) -> IfTrack:
@@ -273,7 +312,7 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> IfTrack:
 
     d_op, scale = _lls_design(p.degree, window)
     gain = scale * bb.fs
-    phi = np.unwrap(np.angle(bb.samples))
+    phi = unwrap_phase(np.angle(bb.samples))
     out = np.empty(total)
 
     windows = np.lib.stride_tricks.sliding_window_view(phi, window)[::hop]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SyncError
-from .sigcore import ChirpParams, IqBuffer, periodic_reference
+from .sigcore import ChirpParams, IqBuffer, periodic_reference, unwrap_phase
 
 # periods of the incoming stream used for spectra / boundary slips
 MAX_COARSE_PERIODS = 64
@@ -101,7 +101,7 @@ def _measure_slips(rx: np.ndarray, params: ChirpParams, t0: int, guard: int) -> 
     while p + half < total and len(deltas) < MAX_SLIP_BOUNDARIES:
         if p - half >= 0:
             seg = rx[t0 + p - half:t0 + p + half + 1] * np.conj(ref[p - half:p + half + 1])
-            phi = np.unwrap(np.angle(seg))
+            phi = unwrap_phase(np.angle(seg))
             c = half  # boundary position within the window
 
             def pavg(idx: int) -> float:

@@ -51,6 +51,19 @@ class TestCf32Files:
         assert len(raw) == 8
         assert np.frombuffer(raw, dtype="<f4").tolist() == [1.0, 2.0]
 
+    def test_bytes_match_explicit_interleave(self, tmp_path, rng):
+        samples = rng.standard_normal(1001) + 1j * rng.standard_normal(1001)
+        samples[:4] = [0.0, -0.0 - 0.0j, 1e-40 - 1e-40j, 3.4e38 + 1.0j]  # zeros, subnormals
+        flat = np.empty(2 * len(samples), dtype="<f4")
+        flat[0::2] = samples.real
+        flat[1::2] = samples.imag
+        path = tmp_path / "x.cf32"
+        write_cf32(path, samples)
+        assert path.read_bytes() == flat.tobytes()
+        back = read_cf32(path)
+        assert back.dtype == np.complex128
+        assert np.array_equal(back.real, flat[0::2]) and np.array_equal(back.imag, flat[1::2])
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "x.cf32"
         path.write_bytes(b"\x00" * 7)
@@ -263,6 +276,22 @@ class TestPlotCommand:
         bad.write_text("snr_db,code,bitrate,estimator,bits,errors\n0,a,1,b,1,0\n")
         assert run(["plot", bad, "--out", tmp_path / "p.svg"]) == 1
         assert "'ber'" in capsys.readouterr().err
+
+    def test_short_row_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("snr_db,code,bitrate,estimator,bits,errors,ber\n"
+                       "0,a,1,b,1,0,0\n\n2,a,1,b,1\n")
+        assert run(["plot", bad, "--out", tmp_path / "p.svg"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: line 4 has 5 fields, the header has 7\n"
+
+    def test_non_numeric_field_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("snr_db,code,bitrate,estimator,bits,errors,ber\n0,a,1,b,1,0,low\n")
+        assert run(["plot", bad, "--out", tmp_path / "p.svg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 2: ") and "'low'" in err
+        assert err.count("\n") == 1
 
 
 class TestCsvHelpers:

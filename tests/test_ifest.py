@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fcssk import (ConfigError, IqBuffer, LlsParams, derive_params, downconvert,
-                   dpll_response, dpll_track, encode, lls_track, make_dpll_params, modulate,
-                   reference_chirp)
-from fcssk.ifest import default_cutoff, default_dpll, default_f_nat, design_lowpass
+from fcssk import (ConfigError, IqBuffer, LlsParams, apply_awgn, decide, derive_params,
+                   downconvert, dpll_response, dpll_track, encode, lls_track,
+                   make_dpll_params, modulate, reference_chirp)
+from fcssk.ifest import (OVERLAP_SAVE_SPAN, _fft_size, default_cutoff, default_dpll,
+                         default_f_nat, design_lowpass)
+from fcssk.sigcore import periodic_reference
 from fcssk.txmod import make_mod_params
 
 
@@ -190,3 +192,32 @@ class TestDownconvert:
         if_est = np.diff(phase) * chirp.fs / (2 * np.pi)
         peak_region = if_est[200:312]  # around the first bit's midpoint
         assert peak_region.max() == pytest.approx(16.0, abs=1.5)
+
+    @staticmethod
+    def direct(rx, mp):
+        """The lowpass as a direct convolution, group delay cut off."""
+        bb = rx.samples * np.conj(periodic_reference(mp.chirp, len(rx.samples)))
+        h = design_lowpass(default_cutoff(mp), rx.fs)
+        delay = (len(h) - 1) // 2
+        return np.convolve(bb, h)[delay:delay + len(bb)]
+
+    @pytest.mark.parametrize("fs", [16384, 65536])
+    def test_matches_direct_convolution(self, fs):
+        mp = make_mod_params(derive_params(1024.0, 4.0, fs), "manchester", 128)
+        n_bits = 2 * OVERLAP_SAVE_SPAN // (2 * mp.coded_bit_len) + 40   # several FFT groups
+        bits = np.random.default_rng(fs).integers(0, 2, n_bits)
+        clean = modulate(encode(bits, "manchester", mp.coded_bit_len), mp)
+        rx = apply_awgn(clean, 0.0, np.random.default_rng(7))
+        taps = len(design_lowpass(default_cutoff(mp), fs))
+        assert len(rx) > 2 * OVERLAP_SAVE_SPAN
+        got, want = downconvert(rx, mp).samples, self.direct(rx, mp)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for track in (lambda bb: lls_track(bb, LlsParams(window_len=mp.coded_bit_len)),
+                      lambda bb: dpll_track(bb, default_dpll(mp))):
+            bits_got = decide(track(IqBuffer(got, fs)), mp).bits
+            assert np.array_equal(bits_got, decide(track(IqBuffer(want, fs)), mp).bits)
+        # inputs shorter than one FFT block, and shorter than the filter
+        for n in (_fft_size(taps) // 2, taps // 2, 1):
+            short = IqBuffer(rx.samples[:n], fs)
+            np.testing.assert_allclose(downconvert(short, mp).samples, self.direct(short, mp),
+                                       rtol=0, atol=1e-12)

@@ -1,16 +1,18 @@
 """Property tests over every registered code: codec round trips, the
 constant-weight bandwidth invariant, and noiseless modem round trips over
-the strict operating envelope."""
+the strict operating envelope; and the sparse phase unwrap against
+``np.unwrap``."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fcssk import (CODE_NAMES, ConfigError, decode, derive_params, encode, get_code_spec,
                    ideal_deviation_track, modulate)
 from fcssk.cli import receive_chain
 from fcssk.ifest import default_dpll
+from fcssk.sigcore import unwrap_phase
 from fcssk.txmod import make_mod_params
 
 
@@ -84,3 +86,38 @@ def test_low_fs_bursts_decode(fs, code, estimator):
     rx = modulate(encode(bits, code, mp.coded_bit_len), mp)
     decision, _ = receive_chain(rx, mp, estimator, use_sync=False)
     assert np.array_equal(decision.bits, bits)
+
+
+# exact multiples of pi/2 make steps of exactly +-pi and +-2*pi
+EXACT_PHASES = (-np.pi, -np.pi / 2, -0.0, 0.0, np.pi / 2, np.pi)
+
+
+@st.composite
+def phase_arrays(draw):
+    """Wrapped phases as ``np.angle`` yields them, plus multi-turn jumps,
+    exact +-pi values and exact pi steps, and phases of noisy chirps."""
+    kind = draw(st.sampled_from(("wrapped", "exact", "wide", "chirp")))
+    if kind == "chirp":
+        n = draw(st.integers(2, 4000))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        t = np.arange(n)
+        freq = draw(st.floats(-0.5, 0.5)) + draw(st.floats(-1e-4, 1e-4)) * t
+        noise = draw(st.sampled_from((0.0, 0.1, 1.0, 10.0)))
+        z = np.exp(2j * np.pi * np.cumsum(freq)) + noise * (rng.standard_normal(n)
+                                                            + 1j * rng.standard_normal(n))
+        return np.angle(z)
+    value = {"wrapped": st.one_of(st.floats(-np.pi, np.pi), st.sampled_from(EXACT_PHASES)),
+             "exact": st.sampled_from(EXACT_PHASES),
+             "wide": st.floats(-50.0, 50.0)}[kind]
+    return np.array(draw(st.lists(value, max_size=300)), dtype=np.float64)
+
+
+@settings(deadline=None, max_examples=300)
+@given(phase_arrays())
+@example(np.zeros(0))
+@example(np.array([np.pi]))
+@example(np.array([0.0, np.pi, 0.0, -np.pi, np.pi, -np.pi / 2, np.pi / 2, -0.0]))
+def test_unwrap_phase_is_numpy_unwrap(phase):
+    got, want = unwrap_phase(phase), np.unwrap(phase)
+    assert np.array_equal(got, want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()  # signed zeros too
