@@ -95,7 +95,7 @@ def _as_bits(bits) -> np.ndarray:
 
 def pack_values(bits: np.ndarray, width: int) -> np.ndarray:
     """MSB-first value of each row of ``width`` bits."""
-    return bits.reshape(-1, width) @ (1 << np.arange(width - 1, -1, -1))
+    return np.matvec(bits.reshape(-1, width), 1 << np.arange(width - 1, -1, -1))
 
 
 def unpack_values(values: np.ndarray, width: int) -> np.ndarray:

@@ -7,6 +7,13 @@ Templates are energy-normalized, making the max-correlation rule coincide
 with the minimum-squared-error detector even though codeword deviation
 shapes differ in energy.  Manchester's two templates are exact negatives,
 so its rule reduces to the sign of the triangle correlation.
+
+Every template is a ramp ``start + slope*i`` on each coded bit, so a
+segment's correlation with it needs only the segment's two moments per
+coded bit, sum(x) and sum(i*x).  The detector correlates those moments
+with a cached (start, slope) matrix derived from the bank: batched
+matrix-vector products of q and 2**p rows instead of a matrix product
+with the full bank, so no trial wakes a threaded BLAS.
 """
 
 from __future__ import annotations
@@ -38,7 +45,39 @@ def template_bank(mp: ModParams) -> np.ndarray:
     for bits in unpack_values(np.arange(1 << p), p).reshape(-1, p):
         dev = ideal_deviation_track(encode(bits, mp.code, mp.coded_bit_len), mp).values
         rows.append(dev / np.linalg.norm(dev))
-    return np.asarray(rows)
+    bank = np.asarray(rows)
+    bank.flags.writeable = False  # shared by every caller
+    return bank
+
+
+@lru_cache(maxsize=None)
+def _ramp_coefficients(mp: ModParams) -> np.ndarray:
+    """(2**p, 2*q) matrix of the bank's per-coded-bit ramps: columns 2j and
+    2j+1 hold the start and slope of coded bit j, so a template's
+    correlation with a segment is this row dotted with the segment's
+    moments (sum(x), sum(i*x)) per coded bit.  Raises ConfigError if a
+    template is not a ramp on every coded bit."""
+    bank = template_bank(mp)
+    length = mp.coded_bit_len
+    bits = bank.reshape(len(bank), -1, length)
+    start = bits[..., 0]
+    slope = (bits[..., -1] - start) / max(length - 1, 1)
+    ramp = start[..., None] + slope[..., None] * np.arange(length)
+    if not np.allclose(ramp, bits, rtol=0, atol=1e-12 * np.abs(bank).max()):
+        raise ConfigError(f"{mp.code} templates are not a ramp on every coded bit")
+    coef = np.stack((start, slope), axis=-1).reshape(len(bank), -1)
+    coef.flags.writeable = False  # shared by every caller
+    return coef
+
+
+def correlations(segments: np.ndarray, mp: ModParams) -> np.ndarray:
+    """(n_seg, 2**p) correlations of p-info-bit segments with the bank,
+    ``segments @ template_bank(mp).T``, computed from per-coded-bit
+    moments."""
+    length = mp.coded_bit_len
+    weights = np.stack((np.ones(length), np.arange(length, dtype=np.float64)))   # 1 and i
+    moments = np.matvec(weights, segments.reshape(-1, length))
+    return np.matvec(_ramp_coefficients(mp), moments.reshape(len(segments), -1))
 
 
 def decide(track: IfTrack, mp: ModParams) -> Decision:
@@ -51,7 +90,7 @@ def decide(track: IfTrack, mp: ModParams) -> Decision:
         raise ConfigError(f"track of {len(values)} samples holds no full "
                           f"{seg_len}-sample symbol")
     segments = values[:n_seg * seg_len].reshape(n_seg, seg_len)
-    scores = segments @ template_bank(mp).T        # (n_seg, 2**p)
+    scores = correlations(segments, mp)            # (n_seg, 2**p)
     best = np.argmax(scores, axis=1)               # first index wins ties
     win = scores[np.arange(n_seg), best]
     norm = np.linalg.norm(segments, axis=1)

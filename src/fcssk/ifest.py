@@ -13,7 +13,10 @@ Two estimators are provided:
   code: an FFT convolution for the linear part, then a scan that applies
   each slip's exact step response in order;
 * a sliding-window linear-least-squares fit of a degree-lambda polynomial
-  to the unwrapped phase, differentiated to yield the IF.
+  to the unwrapped phase, differentiated to yield the IF.  The fit and the
+  derivative are the two rank-lambda factors of the window operator,
+  applied as batched matrix-vector products rather than one matrix
+  product, so no trial wakes a threaded BLAS.
 """
 
 from __future__ import annotations
@@ -270,21 +273,24 @@ def dpll_response(p: DpllParams, freq_hz: float) -> complex:
     return (p.c1 * zm1 + p.c2 * zm1 ** 2) / (zm1 ** 2 + p.c2 * zm1 + p.c1)
 
 
-def _lls_design(degree: int, window_len: int) -> tuple[np.ndarray, float]:
-    """Per-window solve+differentiate operator on a normalized time grid.
+@lru_cache(maxsize=8)
+def _lls_design(degree: int, window_len: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rank-``degree`` factors of the per-window solve+differentiate operator
+    on a normalized time grid.
 
-    Returns (D, scale): D @ phase_window evaluates the fitted phase
-    polynomial's derivative d(phase)/du at every window sample (u spanning
-    [-1, 1]); multiplying by scale * fs converts that to Hz.
+    Returns (P, V, scale): P @ phase_window gives the fitted phase
+    polynomial's coefficients of u**1 .. u**degree (the constant term has
+    no derivative), and V @ coefficients evaluates d(phase)/du at every
+    window sample (u spanning [-1, 1]); multiplying by scale * fs converts
+    that to Hz.  The arrays are cached and read-only.
     """
     u = np.linspace(-1.0, 1.0, window_len)
     vand = np.vander(u, degree + 1, increasing=True)
-    proj = np.linalg.pinv(vand)
-    powers = np.arange(degree + 1)
-    dvand = np.zeros_like(vand)
-    dvand[:, 1:] = vand[:, :-1] * powers[1:]
+    proj = np.ascontiguousarray(np.linalg.pinv(vand)[1:])
+    deriv = vand[:, :-1] * np.arange(1, degree + 1)
+    proj.flags.writeable = deriv.flags.writeable = False  # shared by every caller
     half_span = (window_len - 1) / 2.0
-    return dvand @ proj, 1.0 / (2.0 * np.pi * half_span)
+    return proj, deriv, 1.0 / (2.0 * np.pi * half_span)
 
 
 def lls_track(bb: IqBuffer, p: LlsParams) -> IfTrack:
@@ -296,8 +302,11 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> IfTrack:
     window-relative, hence identical for all windows), and the fit's
     derivative is emitted over the central ``window_len // 4`` samples.
     The first and last windows also cover their outer edges so the track
-    spans the whole input.  All middle windows are solved in one batched
-    matrix product over a strided view of the phase.
+    spans the whole input.  The operator has rank ``degree``, so every
+    window goes through its two factors: one batched ``np.matvec`` over a
+    strided view of the phase fits the coefficients of all windows, a
+    second evaluates their derivatives.  Neither is a BLAS-3 product,
+    which would wake (and leave spinning) a threaded BLAS on every call.
     """
     if p.degree < 2:
         raise ConfigError("polynomial degree must be >= 2")
@@ -310,17 +319,18 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> IfTrack:
     hop = window // 4   # >= 1: window > degree + 1 >= 3
     lead = (window - hop) // 2
 
-    d_op, scale = _lls_design(p.degree, window)
+    proj, deriv, scale = _lls_design(p.degree, window)
     gain = scale * bb.fs
     phi = unwrap_phase(np.angle(bb.samples))
     out = np.empty(total)
 
     windows = np.lib.stride_tricks.sliding_window_view(phi, window)[::hop]
-    out[lead:lead + windows.shape[0] * hop] = \
-        (windows @ d_op[lead:lead + hop].T).ravel() * gain
-    out[:lead] = (d_op[:lead] @ phi[:window]) * gain
-    pos = lead + windows.shape[0] * hop
-    if pos < total:
+    stop = lead + windows.shape[0] * hop
+    np.matvec(deriv[lead:lead + hop], np.matvec(proj, windows),
+              out=out[lead:stop].reshape(-1, hop))
+    out[:lead] = np.matvec(deriv[:lead], np.matvec(proj, phi[:window]))
+    if stop < total:
         start_f = total - window
-        out[pos:] = (d_op[pos - start_f:] @ phi[start_f:]) * gain
+        out[stop:] = np.matvec(deriv[stop - start_f:], np.matvec(proj, phi[start_f:]))
+    out *= gain
     return IfTrack(values=out, fs=bb.fs, offset=0)

@@ -138,6 +138,14 @@ def periodic_reference(params: ChirpParams, n_samples: int) -> np.ndarray:
     return cached[:n_samples]
 
 
+def unwrap_correction(step: np.ndarray) -> np.ndarray:
+    """``np.unwrap``'s correction, bit for bit, for phase steps of at least pi."""
+    dmod = np.mod(step + np.pi, 2.0 * np.pi) - np.pi
+    dmod[(dmod == -np.pi) & (step > 0)] = np.pi   # numpy's tie rule: a +pi step stays +pi
+    dmod -= step
+    return dmod
+
+
 def unwrap_phase(phase: np.ndarray) -> np.ndarray:
     """``np.unwrap(phase)``, bit for bit, for a finite 1-D float64 array.
 
@@ -150,11 +158,8 @@ def unwrap_phase(phase: np.ndarray) -> np.ndarray:
     """
     step = np.diff(phase)
     wraps = np.flatnonzero(np.abs(step) >= np.pi)
-    d = step[wraps]
-    dmod = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
-    dmod[(dmod == -np.pi) & (d > 0)] = np.pi   # numpy's tie rule: a +pi step stays +pi
     offsets = np.zeros(len(wraps) + 1)
-    np.cumsum(dmod - d, out=offsets[1:])
+    np.cumsum(unwrap_correction(step[wraps]), out=offsets[1:])
     out = np.array(phase, dtype=np.float64)
     out[1:] += np.repeat(offsets, np.diff(wraps, prepend=0, append=len(step)))
     return out

@@ -31,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, SyncError
-from .sigcore import ChirpParams, IqBuffer, periodic_reference, unwrap_phase
+from .sigcore import ChirpParams, IqBuffer, periodic_reference, unwrap_correction
 
 # periods of the incoming stream used for spectra / boundary slips
 MAX_COARSE_PERIODS = 64
@@ -62,8 +63,11 @@ def _mixed_periodogram(rx: np.ndarray, params: ChirpParams, start: int,
     """One-period periodogram of rx[start:] * conj(reference), averaged
     over ``periods`` chirp periods."""
     n = params.n
-    z = rx[start:start + periods * n] * np.conj(periodic_reference(params, periods * n))
-    return (np.abs(np.fft.fft(z.reshape(periods, n), axis=1)) ** 2).mean(axis=0)
+    z = np.conj(periodic_reference(params, periods * n))
+    np.multiply(rx[start:start + periods * n], z, out=z)   # in place: one fewer full copy
+    power = np.abs(np.fft.fft(z.reshape(periods, n), axis=1))
+    power **= 2
+    return power.mean(axis=0)
 
 
 def _banded_spread(rx: np.ndarray, params: ChirpParams, tau: float) -> float:
@@ -91,31 +95,47 @@ def _measure_slips(rx: np.ndarray, params: ChirpParams, t0: int, guard: int) -> 
     as phi(p+G)-phi(p-G) minus the mean of the two flanking G-spans (a
     symmetric second difference that cancels the modulation trend), each
     phase probe being a short local average.  Valid while |d| < G.
+
+    All boundaries are measured at once, one row of a strided view per
+    boundary window.  Each window's phase is unwrapped only where it is
+    read: ``unwrap_phase``'s correction runs at the wrap steps, its
+    running sum per row is looked up at the four probe spans, and the
+    result equals unwrapping every window in full, bit for bit.
     """
     n, fs, b0 = params.n, params.fs, params.b0
     total = len(rx) - t0
     half = 3 * guard + SLIP_AVG
-    ref = periodic_reference(params, total)
-    deltas = []
-    p = n
-    while p + half < total and len(deltas) < MAX_SLIP_BOUNDARIES:
-        if p - half >= 0:
-            seg = rx[t0 + p - half:t0 + p + half + 1] * np.conj(ref[p - half:p + half + 1])
-            phi = unwrap_phase(np.angle(seg))
-            c = half  # boundary position within the window
-
-            def pavg(idx: int) -> float:
-                return float(phi[idx - SLIP_AVG:idx + SLIP_AVG + 1].mean())
-
-            s_in = pavg(c + guard) - pavg(c - guard)
-            s_pre = pavg(c - guard) - pavg(c - 3 * guard)
-            s_post = pavg(c + 3 * guard) - pavg(c + guard)
-            slip = s_in - 0.5 * (s_pre + s_post)
-            deltas.append(slip * fs / (2.0 * np.pi * b0))
-        p += n
-    if not deltas:
+    width = 2 * half + 1
+    first = max(-(-half // n), 1)     # first boundary k*n whose window starts in the stream
+    count = min((total - half - 1) // n - first + 1, MAX_SLIP_BOUNDARIES)
+    if count <= 0:
         return 0.0
-    d = float(np.mean(deltas))
+    lo = first * n - half
+    hi = lo + (count - 1) * n + width
+    ref = periodic_reference(params, total)
+    seg = np.conj(sliding_window_view(ref[lo:hi], width)[::n])
+    # rx as the first operand, as in a per-window rx * conj(ref): same rounding
+    np.multiply(sliding_window_view(rx[t0 + lo:t0 + hi], width)[::n], seg, out=seg)
+    phase = np.angle(seg)
+    del seg
+    step = np.diff(phase, axis=1)
+    span = step.shape[1]
+    wraps = np.flatnonzero(np.abs(step) >= np.pi)           # row * span + step index
+    rows = wraps // span
+    row_start = np.searchsorted(wraps, np.arange(count) * span)
+    # per row: 0, then the running sum of its corrections, zero-padded
+    offsets = np.zeros((count, int(np.bincount(rows, minlength=count).max()) + 1))
+    offsets[rows, np.arange(len(wraps)) - row_start[rows] + 1] = \
+        unwrap_correction(step.ravel()[wraps])
+    np.cumsum(offsets, axis=1, out=offsets)
+    centers = half + guard * np.array([-3, -1, 1, 3])
+    cols = centers[:, None] + np.arange(-SLIP_AVG, SLIP_AVG + 1)   # (4, 2*SLIP_AVG+1)
+    row = np.arange(count)[:, None, None]
+    before = np.searchsorted(wraps, row * span + cols) - row_start[row]   # wraps before a probe
+    probes = phase[:, cols] + offsets[row, before]
+    far_pre, near_pre, near_post, far_post = probes.mean(axis=-1).T
+    slip = (near_post - near_pre) - 0.5 * ((near_pre - far_pre) + (far_post - near_post))
+    d = float(np.mean(slip * fs / (2.0 * np.pi * b0)))
     # a pass is only valid for |d| < guard; clamp runaway noise estimates
     return float(np.clip(d, -guard, guard))
 

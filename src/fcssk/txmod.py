@@ -68,7 +68,9 @@ def modulated_frequency(frame: CodedFrame, mp: ModParams) -> np.ndarray:
     if t:
         freq[0] = 0.0
         np.cumsum(kap[:-1], out=freq[1:])
-        freq -= mp.chirp.b0 * (np.arange(t) // mp.chirp.n)
+    n = mp.chirp.n
+    for period in range(1, -(-t // n)):
+        freq[period * n:(period + 1) * n] -= mp.chirp.b0 * period
     return freq
 
 

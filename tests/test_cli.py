@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fcssk
 from fcssk import FileFormatError, IqBuffer, NonFiniteSampleError
 from fcssk.cli import (_config_from_args, build_parser, main, parse_csv, read_bits,
                        read_cf32, receive_chain, rows_to_csv, write_bits, write_cf32)
@@ -177,6 +184,37 @@ class TestReceiveChain:
             receive_chain(IqBuffer(samples, man128.chirp.fs), man128, "dpll", use_sync)
         assert info.value.index == 100
         assert "\n" not in str(info.value)
+
+
+    def test_no_cpu_spent_after_a_trial(self):
+        """One sync'd trial per estimator, then a 200 ms sleep that must cost
+        under 30 ms of CPU.  A multi-threaded BLAS-3 product (matrix times
+        matrix) in the chain leaves OpenBLAS's worker threads busy-waiting
+        for about 130 ms of CPU after it returns.  With a BLAS build that
+        does not spin, this passes whatever the chain calls."""
+        script = textwrap.dedent("""
+            import time
+            import numpy as np
+            from fcssk import apply_awgn, apply_delay, derive_params, encode, modulate
+            from fcssk.cli import receive_chain
+            from fcssk.txmod import make_mod_params
+            mp = make_mod_params(derive_params(1024.0, 4.0, 65536), "manchester", 128)
+            rng = np.random.default_rng(5)
+            bits = rng.integers(0, 2, 256)
+            clean = modulate(encode(bits, "manchester", mp.coded_bit_len), mp)
+            rx = apply_awgn(apply_delay(clean, 5000, mp.chirp), 10.0, rng)
+            for estimator in ("dpll", "lls"):
+                decision, _ = receive_chain(rx, mp, estimator, True)
+                got = decision.bits
+                assert len(got) > 250 and np.array_equal(got, bits[:len(got)]), estimator
+            start = time.process_time()
+            time.sleep(0.2)
+            print(time.process_time() - start)
+        """)
+        src = str(Path(fcssk.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        assert float(done.stdout) < 0.030
 
 
 class TestSimulateCommand:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from fcssk import IfTrack, encode, ideal_deviation_track
-from fcssk.detect import decide, template_bank
+from fcssk import ConfigError, IfTrack, encode, ideal_deviation_track
+from fcssk import detect
+from fcssk.detect import _ramp_coefficients, correlations, decide, template_bank
+from fcssk.txmod import make_mod_params
 
 
 def man_track(bits, mp):
@@ -97,3 +99,36 @@ class TestManchesterTemplate:
         bank = template_bank(man128)
         assert bank.shape == (2, man128.m)
         assert np.array_equal(bank[0], -bank[1])
+
+
+class TestMomentCorrelations:
+    @pytest.mark.parametrize("code", ["manchester", "6b8b"])
+    @pytest.mark.parametrize("bitrate", [128, 512])
+    def test_match_the_dense_bank_product(self, chirp, rng, code, bitrate):
+        mp = make_mod_params(chirp, code, bitrate)
+        bank = template_bank(mp)
+        segments = rng.standard_normal((40, bank.shape[1])) * 30.0
+        segments[:, :mp.coded_bit_len] += 5.0          # a mean offset on one coded bit
+        got = correlations(segments, mp)
+        want = segments @ bank.T
+        scale = np.linalg.norm(segments, axis=1, keepdims=True)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale.max())
+        assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+
+    def test_manchester_scores_are_exact_negatives(self, man128, rng):
+        # keeps the sign rule and the tie to zero of the dense bank
+        scores = correlations(rng.standard_normal((64, man128.m)), man128)
+        assert np.array_equal(scores[:, 0], -scores[:, 1])
+
+    def test_ramps_cached_and_read_only(self, b6b8_128):
+        coef = _ramp_coefficients(b6b8_128)
+        assert coef.shape == (64, 16)
+        assert _ramp_coefficients(b6b8_128) is coef
+        assert not coef.flags.writeable and not template_bank(b6b8_128).flags.writeable
+
+    def test_bank_that_is_not_a_ramp_rejected(self, man128, monkeypatch):
+        bank = np.array(template_bank(man128))
+        bank[1, 3] += 0.5
+        monkeypatch.setattr(detect, "template_bank", lambda mp: bank)
+        with pytest.raises(ConfigError, match="not a ramp"):
+            _ramp_coefficients.__wrapped__(man128)

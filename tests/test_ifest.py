@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fcssk import (ConfigError, IqBuffer, LlsParams, apply_awgn, decide, derive_params,
-                   downconvert, dpll_response, dpll_track, encode, lls_track,
-                   make_dpll_params, modulate, reference_chirp)
-from fcssk.ifest import (OVERLAP_SAVE_SPAN, _fft_size, default_cutoff, default_dpll,
-                         default_f_nat, design_lowpass)
-from fcssk.sigcore import periodic_reference
+from fcssk import (ConfigError, IfTrack, IqBuffer, LlsParams, apply_awgn, decide,
+                   derive_params, downconvert, dpll_response, dpll_track, encode,
+                   lls_track, make_dpll_params, modulate, reference_chirp)
+from fcssk.ifest import (OVERLAP_SAVE_SPAN, _fft_size, _lls_design, default_cutoff,
+                         default_dpll, default_f_nat, design_lowpass)
+from fcssk.sigcore import periodic_reference, unwrap_phase
 from fcssk.txmod import make_mod_params
 
 
@@ -126,6 +126,61 @@ class TestLlsTrack:
         track = lls_track(buf, LlsParams(window_len=256))
         assert len(track) == 1000
         np.testing.assert_allclose(track.values, 42.0, atol=1e-6)
+
+
+def dense_lls_track(bb, p):
+    """The LLS track through the dense window operator dvand @ pinv(vand),
+    applied as matrix products."""
+    window, total = p.window_len, len(bb.samples)
+    hop = window // 4
+    lead = (window - hop) // 2
+    u = np.linspace(-1.0, 1.0, window)
+    vand = np.vander(u, p.degree + 1, increasing=True)
+    dvand = np.zeros_like(vand)
+    dvand[:, 1:] = vand[:, :-1] * np.arange(1, p.degree + 1)
+    d_op = dvand @ np.linalg.pinv(vand)
+    gain = bb.fs / (2.0 * np.pi * (window - 1) / 2.0)
+    phi = unwrap_phase(np.angle(bb.samples))
+    out = np.empty(total)
+    windows = np.lib.stride_tricks.sliding_window_view(phi, window)[::hop]
+    pos = lead + windows.shape[0] * hop
+    out[lead:pos] = (windows @ d_op[lead:lead + hop].T).ravel() * gain
+    out[:lead] = (d_op[:lead] @ phi[:window]) * gain
+    if pos < total:
+        start_f = total - window
+        out[pos:] = (d_op[pos - start_f:] @ phi[start_f:]) * gain
+    return out
+
+
+class TestLlsFactorization:
+    @pytest.mark.parametrize("code,bitrate", [("manchester", 128), ("6b8b", 512)])
+    @pytest.mark.parametrize("snr_db", [-4.0, 8.0])
+    def test_matches_dense_operator(self, chirp, code, bitrate, snr_db):
+        mp = make_mod_params(chirp, code, bitrate)
+        rng = np.random.default_rng(bitrate + int(snr_db))
+        bits = rng.integers(0, 2, 96)
+        clean = modulate(encode(bits, code, mp.coded_bit_len), mp)
+        bb = downconvert(apply_awgn(clean, snr_db, rng), mp)
+        p = LlsParams(window_len=mp.coded_bit_len)
+        got = lls_track(bb, p)
+        want = dense_lls_track(bb, p)
+        np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-9)
+        assert np.array_equal(decide(got, mp).bits,
+                              decide(IfTrack(want, got.fs, got.offset), mp).bits)
+
+    @pytest.mark.parametrize("total", [256, 257, 319, 320, 321, 1000])
+    def test_edge_windows_match_dense_operator(self, chirp, rng, total):
+        noise = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+        bb = IqBuffer(noise, chirp.fs)
+        p = LlsParams(window_len=256)
+        np.testing.assert_allclose(lls_track(bb, p).values, dense_lls_track(bb, p),
+                                   rtol=0, atol=1e-9)
+
+    def test_design_is_cached_and_read_only(self):
+        proj, deriv, _ = _lls_design(5, 256)
+        assert _lls_design(5, 256)[0] is proj
+        assert proj.shape == (5, 256) and deriv.shape == (256, 5)
+        assert not proj.flags.writeable and not deriv.flags.writeable
 
 
 class TestPhaseUnwrap:

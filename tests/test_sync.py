@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fcssk import (ConfigError, IqBuffer, SyncError, align, apply_awgn,
-                   apply_delay, estimate_timing, modulate, reference_chirp)
+                   apply_delay, derive_params, estimate_timing, modulate, reference_chirp)
 from fcssk.codec import encode
+from fcssk.sigcore import periodic_reference, unwrap_phase
+from fcssk.sync import MAX_SLIP_BOUNDARIES, SLIP_AVG, SLIP_GUARDS, _measure_slips
 from fcssk.txmod import make_mod_params
 
 
@@ -82,3 +84,56 @@ class TestAlign:
         ref = reference_chirp(chirp, 1)
         with pytest.raises(ConfigError):
             align(ref, len(ref) + 1)
+
+
+def reference_measure_slips(rx, params, t0, guard):
+    """``_measure_slips`` one boundary at a time, each window unwrapped in
+    full: the oracle that the batched measurement must equal bit for bit."""
+    n, fs, b0 = params.n, params.fs, params.b0
+    total = len(rx) - t0
+    half = 3 * guard + SLIP_AVG
+    ref = periodic_reference(params, total)
+    deltas = []
+    p = n
+    while p + half < total and len(deltas) < MAX_SLIP_BOUNDARIES:
+        if p - half >= 0:
+            seg = rx[t0 + p - half:t0 + p + half + 1] * np.conj(ref[p - half:p + half + 1])
+            phi = unwrap_phase(np.angle(seg))
+
+            def pavg(idx):
+                return float(phi[idx - SLIP_AVG:idx + SLIP_AVG + 1].mean())
+
+            c = half
+            s_in = pavg(c + guard) - pavg(c - guard)
+            s_pre = pavg(c - guard) - pavg(c - 3 * guard)
+            s_post = pavg(c + 3 * guard) - pavg(c + guard)
+            slip = s_in - 0.5 * (s_pre + s_post)
+            deltas.append(slip * fs / (2.0 * np.pi * b0))
+        p += n
+    if not deltas:
+        return 0.0
+    return float(np.clip(float(np.mean(deltas)), -guard, guard))
+
+
+class TestMeasureSlips:
+    # 48000 S/s pairs with 96 b/s; at 16384 S/s the guard-2048 windows overlap
+    @pytest.mark.parametrize("fs,bitrate", [(65536, 128), (16384, 128), (48000, 96)])
+    def test_batched_equals_per_boundary_loop(self, fs, bitrate):
+        chirp = derive_params(1024.0, 4.0, fs)
+        mp = make_mod_params(chirp, "manchester", bitrate)
+        rng = np.random.default_rng(fs)
+        calls = 0
+        for n_bits in (8, 40, 400):      # 8 bits hold no boundary window at all
+            sig = modulate(encode(rng.integers(0, 2, n_bits), "manchester",
+                                  mp.coded_bit_len), mp)
+            tau = int(rng.integers(1, min(chirp.n, len(sig))))
+            for snr_db in (None, 10.0, -4.0, -16.0):
+                rx = apply_delay(sig, tau, chirp)
+                x = rx.samples if snr_db is None else apply_awgn(rx, snr_db, rng).samples
+                for t0 in (0, tau, (tau + 37) % chirp.n, chirp.n - 1):
+                    for guard in SLIP_GUARDS:
+                        got = _measure_slips(x, chirp, t0, guard)
+                        assert got == reference_measure_slips(x, chirp, t0, guard), \
+                            (n_bits, snr_db, t0, guard)
+                        calls += got != 0.0
+        assert calls > 0

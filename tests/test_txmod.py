@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fcssk import (ConfigError, encode, instantaneous_frequency, modulate,
                    ideal_deviation_track, reference_chirp)
+from fcssk.codec import CodedFrame
 from fcssk.txmod import make_mod_params, modulated_frequency, peak_deviation
 
 
@@ -52,6 +55,24 @@ class TestModulate:
         frame = encode([0] * 6, "6b8b")
         with pytest.raises(ConfigError):
             modulate(frame, man128)
+
+
+class TestSawtooth:
+    @staticmethod
+    def dense_formula(frame, mp):
+        """The slope sum minus b0 * (sample index // n), all at once."""
+        kap = np.where(np.repeat(frame.bits, mp.coded_bit_len) == 1, mp.kappa1, mp.kappa0)
+        freq = np.concatenate(([0.0], np.cumsum(kap[:-1])))[:len(kap)]
+        return freq - mp.chirp.b0 * (np.arange(len(kap)) // mp.chirp.n)
+
+    def test_bit_identical_to_dense_formula(self, man128, rng):
+        n = man128.chirp.n
+        one_sample = replace(man128, coded_bit_len=1)
+        for t in (0, 1, n - 1, n, n + 1, 3 * n + 5):
+            frame = CodedFrame(bits=rng.integers(0, 2, t), code="manchester", coded_bit_len=1)
+            got = modulated_frequency(frame, one_sample)
+            want = self.dense_formula(frame, one_sample)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t
 
 
 class TestIdealDeviation:
