@@ -20,6 +20,8 @@ STREAM_BITS = 1
 STREAM_NOISE = 2
 STREAM_DELAY = 3
 
+AWGN_CHUNK = 1 << 16   # samples per noise draw
+
 
 def derived_rng(seed: int, *tags: int) -> np.random.Generator:
     """Independent PRNG stream for (seed, purpose, trial/point indices)."""
@@ -31,17 +33,33 @@ def apply_awgn(buf: IqBuffer, snr_db: float | None, seed_or_rng) -> IqBuffer:
 
     SNR is signal power (unit amplitude) over *total* complex noise power:
     sigma^2 = 10^(-snr_db/10), split sigma^2/2 per quadrature.
-    ``snr_db=None`` (or +inf) means noiseless passthrough.
+    ``snr_db=None`` (or +inf) means noiseless passthrough; NaN and -inf
+    raise ConfigError.
+
+    All of I is drawn, then all of Q, each in AWGN_CHUNK-sample pieces
+    straight into the one complex output, which is then scaled and has
+    the signal added in place.  A draw split into pieces is the same draw,
+    so the result equals ``samples + scale * (I + 1j*Q)`` bit for bit.
     """
-    if snr_db is None or np.isinf(snr_db):
+    if snr_db is None or snr_db == np.inf:
         return buf
+    if not np.isfinite(snr_db):
+        raise ConfigError(f"SNR must be a finite number of dB or +inf, got {snr_db}")
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
         else derived_rng(seed_or_rng, STREAM_NOISE)
     sigma2 = 10.0 ** (-float(snr_db) / 10.0)
     scale = np.sqrt(sigma2 / 2.0)
     n = len(buf.samples)
-    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return IqBuffer(samples=buf.samples + scale * noise, fs=buf.fs)
+    noise = np.empty(n, dtype=np.complex128)
+    chunk = np.empty(min(n, AWGN_CHUNK))   # standard_normal(out=) needs a contiguous array
+    for quadrature in (noise.real, noise.imag):
+        for lo in range(0, n, AWGN_CHUNK):
+            draw = chunk[:min(AWGN_CHUNK, n - lo)]
+            rng.standard_normal(out=draw)
+            quadrature[lo:lo + len(draw)] = draw
+    noise *= scale
+    noise += buf.samples
+    return IqBuffer(samples=noise, fs=buf.fs)
 
 
 def apply_delay(buf: IqBuffer, delay: int, params: ChirpParams) -> IqBuffer:

@@ -106,7 +106,7 @@ def read_cf32(path: str) -> np.ndarray:
         offset = 8 * (int(np.argmin(finite)) // 2)  # start of the first bad I,Q pair
         raise FileFormatError(f"{path}: non-finite sample at byte offset {offset}",
                               offset=offset)
-    return np.frombuffer(raw, dtype="<c8").astype(np.complex128)
+    return np.frombuffer(raw, dtype="<c8")   # as stored: every consumer widens it exactly
 
 
 def write_cf32(path: str, samples: np.ndarray) -> None:
@@ -119,9 +119,8 @@ def write_cf32(path: str, samples: np.ndarray) -> None:
 def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
                   use_sync: bool) -> tuple[detect.Decision, sync.SyncEstimate | None]:
     """sync -> downconvert -> IF estimation -> detection."""
-    finite = np.isfinite(rx.samples)
-    if not finite.all():
-        index = int(np.argmin(finite))
+    if not np.isfinite(rx.samples).all():
+        index = int(np.argmin(np.isfinite(rx.samples)))
         raise NonFiniteSampleError(f"sample {index} is {rx.samples[index]}, "
                                    f"not a finite number", index=index)
     est = None
@@ -129,6 +128,10 @@ def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
         est = sync.estimate_timing(rx, mp.chirp)
         rx = sync.align(rx, est)
     bb = ifest.downconvert(rx, mp)
+    # If the caller passed rx inline (as cmd_demodulate does), this frame
+    # holds the last reference: CPython 3.11 moves call arguments into the
+    # callee's frame, so the capture is freed here, before the estimator.
+    del rx
     if estimator == "dpll":
         track = ifest.dpll_track(bb, ifest.default_dpll(mp))
     elif estimator == "lls":
@@ -162,10 +165,10 @@ def simulate_point(cfg: RunConfig, mp: txmod.ModParams, snr_db: float,
         noise_rng = channel.derived_rng(cfg.seed, channel.STREAM_NOISE, point_index, trial)
         tx_bits = bits_rng.integers(0, 2, n_bits)
         frame = codec.encode(tx_bits, cfg.code, mp.coded_bit_len)
-        signal = txmod.modulate(frame, mp)
+        rx = txmod.modulate(frame, mp)       # one name, so each stage frees its input
         tau = int(delay_rng.integers(0, mp.chirp.n))
-        tau = min(tau, max(len(signal) - 1, 0))  # tiny bursts: delay must fit
-        rx = channel.apply_delay(signal, tau, mp.chirp)
+        tau = min(tau, max(len(rx) - 1, 0))  # tiny bursts: delay must fit
+        rx = channel.apply_delay(rx, tau, mp.chirp)
         rx = channel.apply_awgn(rx, snr_db, noise_rng)
         try:
             decision, _ = receive_chain(rx, mp, cfg.estimator, cfg.use_sync)
@@ -179,6 +182,10 @@ def simulate_point(cfg: RunConfig, mp: txmod.ModParams, snr_db: float,
 
 
 def snr_grid(cfg: RunConfig) -> list[float]:
+    for option, value in (("--snr-start", cfg.snr_start), ("--snr-stop", cfg.snr_stop),
+                          ("--snr-step", cfg.snr_step)):
+        if not np.isfinite(value):
+            raise FcsskError(f"{option} must be a finite number, got {value}")
     if cfg.snr_step <= 0:
         raise FcsskError("snr step must be positive")
     if cfg.snr_stop < cfg.snr_start:
@@ -390,8 +397,8 @@ def cmd_modulate(args) -> int:
 def cmd_demodulate(args) -> int:
     chirp = _chirp_from_args(args)
     mp = txmod.make_mod_params(chirp, args.code, args.bitrate)
-    rx = IqBuffer(samples=read_cf32(args.infile), fs=chirp.fs)
-    decision, _ = receive_chain(rx, mp, args.estimator, use_sync=not args.no_sync)
+    decision, _ = receive_chain(IqBuffer(samples=read_cf32(args.infile), fs=chirp.fs),
+                                mp, args.estimator, use_sync=not args.no_sync)
     write_bits(args.outfile, decision.bits)
     return 0
 

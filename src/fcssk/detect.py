@@ -93,7 +93,7 @@ def decide(track: IfTrack, mp: ModParams) -> Decision:
     scores = correlations(segments, mp)            # (n_seg, 2**p)
     best = np.argmax(scores, axis=1)               # first index wins ties
     win = scores[np.arange(n_seg), best]
-    norm = np.linalg.norm(segments, axis=1)
+    norm = np.sqrt(np.einsum("ij,ij->i", segments, segments))   # no x**2 copy, no BLAS
     metrics = np.divide(win, norm, out=np.zeros_like(win), where=norm > 0)
     return Decision(bits=unpack_values(best, p), metrics=metrics,
                     tail_samples=len(values) - n_seg * seg_len)

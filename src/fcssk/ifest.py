@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .sigcore import IfTrack, IqBuffer, periodic_reference, unwrap_phase
+from .sigcore import IfTrack, IqBuffer, periodic_reference, unwrap_in_place
 from .txmod import ModParams, peak_deviation
 
 LOWPASS_SPAN_S = 128 / 65536  # lowpass length, s: 128 sample intervals at 65536 S/s
@@ -37,6 +37,7 @@ MAX_SLOPE_LAG = math.pi / 2   # rad: half the phase detector's range, half kept 
 SLIP_TAIL = 1e-20     # step-response magnitude below which a slip's effect ends
 SLIP_SCAN = 8192      # samples checked per step of the cycle-slip scan
 OVERLAP_SAVE_SPAN = 1 << 17   # input samples per batched FFT of the overlap-save blocks
+LLS_WINDOW_CHUNK = 4096       # windows per batched np.matvec of the LLS fit
 TWO_PI = 2.0 * math.pi
 
 
@@ -130,14 +131,17 @@ def downconvert(rx: IqBuffer, mp: ModParams) -> IqBuffer:
     """Mix against the local reference and lowpass the product at
     ``default_cutoff(mp)``, by overlap-save FFT convolution.
 
-    The FIR group delay of (taps-1)/2 samples is compensated by shifting
-    the output, so the baseband stays sample-aligned with the input.
+    The mix runs per overlap-save group (``rx * conj(reference)`` over the
+    group's span), so the full-length arrays are the input, the cached
+    reference and the output alone.  ``rx`` may be complex64: widening
+    to complex128 is exact.  The FIR group delay of (taps-1)/2 samples is
+    compensated by shifting the output, so the baseband stays
+    sample-aligned with the input.
     """
     x = rx.samples
-    bb = np.conj(periodic_reference(mp.chirp, len(x)))
-    np.multiply(x, bb, out=bb)
     h, spectrum, nfft = _lowpass_kernel(default_cutoff(mp), rx.fs)
-    return IqBuffer(samples=_overlap_save(bb, h, spectrum, nfft, lag=(len(h) - 1) // 2),
+    return IqBuffer(samples=_overlap_save(x, h, spectrum, nfft, lag=(len(h) - 1) // 2,
+                                          ref=periodic_reference(mp.chirp, len(x))),
                     fs=rx.fs)
 
 
@@ -189,33 +193,41 @@ def _fft_size(taps: int) -> int:
 
 
 def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
-                  lag: int = 0) -> np.ndarray:
-    """Samples lag .. lag+len(x)-1 of the linear convolution x * h.
+                  lag: int = 0, ref: np.ndarray | None = None) -> np.ndarray:
+    """Samples lag .. lag+len(x)-1 of the linear convolution x * h, or of
+    (x * conj(ref)) * h when ``ref`` (as long as ``x``) is given.
 
-    ``spectrum`` is rfft(h, nfft) for real ``x`` and fft(h, nfft) for
-    complex ``x``.  The blocks go through batched FFTs in groups of about
+    ``spectrum`` is rfft(h, nfft) for real input and fft(h, nfft) for
+    complex input.  The blocks go through batched FFTs in groups of about
     OVERLAP_SAVE_SPAN samples; each group is a view of ``x`` (a
-    zero-padded copy only at the two ends) and lands in one preallocated
-    output, so the memory beyond that output stays bounded.
+    zero-padded copy only at the two ends), or its product with the
+    reference span, and lands in one preallocated output, so the memory
+    beyond that output stays bounded.
     """
     n, taps = len(x), len(h)
     keep = nfft - taps + 1
-    if np.iscomplexobj(x):
+    dtype = x.dtype if ref is None else np.result_type(x, ref)
+    if np.issubdtype(dtype, np.complexfloating):
         forward, inverse = np.fft.fft, np.fft.ifft
     else:
         forward, inverse = np.fft.rfft, np.fft.irfft
     group = max(OVERLAP_SAVE_SPAN // keep, 1)       # blocks per batched FFT
     total = -(-n // keep)
-    out = np.empty((total, keep), dtype=x.dtype)
+    out = np.empty((total, keep), dtype=dtype)
     for first in range(0, total, group):
         blocks = min(group, total - first)
         lo = first * keep + lag - (taps - 1)       # index in x of the group's first sample
         hi = lo + blocks * keep + taps - 1
-        if 0 <= lo and hi <= n:
+        a, b = max(lo, 0), min(hi, n)               # the part of the span inside x
+        if ref is None and (a, b) == (lo, hi):
             span = x[lo:hi]
         else:
-            span = np.zeros(hi - lo, dtype=x.dtype)
-            span[max(-lo, 0):min(hi, n) - lo] = x[max(lo, 0):min(hi, n)]
+            span = np.zeros(hi - lo, dtype=dtype)
+            if ref is None:
+                span[a - lo:b - lo] = x[a:b]
+            else:
+                mixed = np.conj(ref[a:b], out=span[a - lo:b - lo])
+                np.multiply(x[a:b], mixed, out=mixed)   # rx first: the full-array product's rounding
         segments = np.lib.stride_tricks.sliding_window_view(span, nfft)[::keep]
         product = forward(segments, axis=1)
         product *= spectrum
@@ -296,17 +308,20 @@ def _lls_design(degree: int, window_len: int) -> tuple[np.ndarray, np.ndarray, f
 def lls_track(bb: IqBuffer, p: LlsParams) -> IfTrack:
     """Sliding-window polynomial-phase IF estimate.
 
-    The phase of ``bb`` is unwrapped once; each window of ``window_len``
-    samples is fitted with a degree-``degree`` polynomial via the
-    precomputed least-squares projector (the time matrix is
+    The phase of ``bb`` is taken once and unwrapped in place; each
+    window of ``window_len`` samples is fitted with a degree-``degree``
+    polynomial via the precomputed least-squares projector (the time matrix is
     window-relative, hence identical for all windows), and the fit's
     derivative is emitted over the central ``window_len // 4`` samples.
     The first and last windows also cover their outer edges so the track
     spans the whole input.  The operator has rank ``degree``, so every
     window goes through its two factors: one batched ``np.matvec`` over a
     strided view of the phase fits the coefficients of all windows, a
-    second evaluates their derivatives.  Neither is a BLAS-3 product,
-    which would wake (and leave spinning) a threaded BLAS on every call.
+    second evaluates their derivatives, LLS_WINDOW_CHUNK windows at a
+    time, so the coefficients between the two stay block-sized.
+    Neither is a BLAS-3 product, which would wake (and leave spinning) a
+    threaded BLAS on every call.  Beyond the output, the full-length
+    array is the phase alone.
     """
     if p.degree < 2:
         raise ConfigError("polynomial degree must be >= 2")
@@ -321,13 +336,16 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> IfTrack:
 
     proj, deriv, scale = _lls_design(p.degree, window)
     gain = scale * bb.fs
-    phi = unwrap_phase(np.angle(bb.samples))
+    phi = np.angle(bb.samples)
+    unwrap_in_place(phi)
     out = np.empty(total)
 
     windows = np.lib.stride_tricks.sliding_window_view(phi, window)[::hop]
     stop = lead + windows.shape[0] * hop
-    np.matvec(deriv[lead:lead + hop], np.matvec(proj, windows),
-              out=out[lead:stop].reshape(-1, hop))
+    rows = out[lead:stop].reshape(-1, hop)
+    for first in range(0, len(windows), LLS_WINDOW_CHUNK):
+        chunk = slice(first, first + LLS_WINDOW_CHUNK)
+        np.matvec(deriv[lead:lead + hop], np.matvec(proj, windows[chunk]), out=rows[chunk])
     out[:lead] = np.matvec(deriv[:lead], np.matvec(proj, phi[:window]))
     if stop < total:
         start_f = total - window

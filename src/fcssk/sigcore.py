@@ -84,15 +84,27 @@ def derive_params(b0: float, rep_rate: float, fs: int, strict: bool = False) -> 
 
 
 def synthesize(freq: np.ndarray, fs: int) -> IqBuffer:
-    """Unit-amplitude signal whose IF track is ``freq`` (Hz), phase 0 at start."""
-    phase = (2.0 * np.pi / fs) * np.cumsum(freq)
-    return IqBuffer(samples=np.exp(1j * phase), fs=fs)
+    """Unit-amplitude signal whose IF track is ``freq`` (Hz), phase 0 at start.
+
+    The phase is summed into the imaginary part of the output, scaled and
+    exponentiated there, so the only full-length array built is the
+    output.  The result equals ``exp(1j * (2*pi/fs) * cumsum(freq))`` bit
+    for bit: that product's real part is a zero, and exp(+-0 + j*phi) is
+    the same number.
+    """
+    out = np.zeros(len(freq), dtype=np.complex128)
+    np.cumsum(freq, out=out.imag)
+    out.imag *= 2.0 * np.pi / fs
+    np.exp(out, out=out)
+    return IqBuffer(samples=out, fs=fs)
 
 
 def reference_frequency(params: ChirpParams, n_samples: int) -> np.ndarray:
     """IF track of the unmodulated reference: k0 * (n mod N), sawtooth."""
-    n = np.arange(n_samples, dtype=np.float64)
-    return params.k0 * np.mod(n, params.n)
+    freq = np.arange(n_samples, dtype=np.float64)
+    np.mod(freq, params.n, out=freq)
+    freq *= params.k0
+    return freq
 
 
 def reference_chirp(params: ChirpParams, n_periods: int) -> IqBuffer:
@@ -146,22 +158,45 @@ def unwrap_correction(step: np.ndarray) -> np.ndarray:
     return dmod
 
 
-def unwrap_phase(phase: np.ndarray) -> np.ndarray:
-    """``np.unwrap(phase)``, bit for bit, for a finite 1-D float64 array.
+UNWRAP_BLOCK = 1 << 16   # samples per block of unwrap_in_place
+
+
+def unwrap_in_place(phase: np.ndarray) -> None:
+    """Write ``np.unwrap(phase)`` into ``phase``, bit for bit, for a finite
+    1-D float64 array.
 
     ``np.unwrap`` runs its ``mod`` correction over every phase step, yet
     the correction is non-zero only where a step is at least pi: a few
     per mille of the samples of a lowpassed baseband, about a quarter of
     pure noise.  Here the same correction runs at those steps only, and
     its running sum is spread over the runs between them.  Adding 0.0
-    is exact, so the result equals numpy's dense cumulative sum.
+    is exact, so the result equals numpy's dense cumulative sum.  The
+    array is walked in blocks of UNWRAP_BLOCK samples, carrying the
+    running sum and the last wrapped sample across each block edge, so
+    the temporaries stay that size whatever the length.
     """
-    step = np.diff(phase)
-    wraps = np.flatnonzero(np.abs(step) >= np.pi)
-    offsets = np.zeros(len(wraps) + 1)
-    np.cumsum(unwrap_correction(step[wraps]), out=offsets[1:])
+    if len(phase) < 2:
+        return
+    offset = 0.0              # running correction into the block's first sample
+    prev = float(phase[0])    # wrapped phase of the sample before the block
+    for lo in range(1, len(phase), UNWRAP_BLOCK):
+        block = phase[lo:lo + UNWRAP_BLOCK]
+        step = np.diff(block, prepend=prev)
+        prev = float(block[-1])
+        wraps = np.flatnonzero(np.abs(step) >= np.pi)
+        offsets = np.empty(len(wraps) + 1)
+        offsets[0] = offset
+        offsets[1:] = unwrap_correction(step[wraps])
+        np.cumsum(offsets, out=offsets)
+        offset = float(offsets[-1])
+        block += np.repeat(offsets, np.diff(wraps, prepend=0, append=len(block)))
+
+
+def unwrap_phase(phase: np.ndarray) -> np.ndarray:
+    """``np.unwrap(phase)``, bit for bit, for a finite 1-D float64 array
+    (see ``unwrap_in_place``)."""
     out = np.array(phase, dtype=np.float64)
-    out[1:] += np.repeat(offsets, np.diff(wraps, prepend=0, append=len(step)))
+    unwrap_in_place(out)
     return out
 
 

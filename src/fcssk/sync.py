@@ -65,7 +65,9 @@ def _mixed_periodogram(rx: np.ndarray, params: ChirpParams, start: int,
     n = params.n
     z = np.conj(periodic_reference(params, periods * n))
     np.multiply(rx[start:start + periods * n], z, out=z)   # in place: one fewer full copy
-    power = np.abs(np.fft.fft(z.reshape(periods, n), axis=1))
+    spectra = z.reshape(periods, n)
+    np.fft.fft(spectra, axis=1, out=spectra)               # in place too
+    power = np.abs(spectra)
     power **= 2
     return power.mean(axis=0)
 

@@ -3,6 +3,7 @@ import pytest
 
 from fcssk import ConfigError, IqBuffer, apply_awgn, apply_delay, derived_rng
 from fcssk import instantaneous_frequency, reference_chirp
+from fcssk.channel import AWGN_CHUNK, STREAM_NOISE
 
 
 class TestAwgn:
@@ -29,6 +30,33 @@ class TestAwgn:
         buf = IqBuffer(np.zeros(10 ** 6, dtype=complex), chirp.fs)
         v_hi = np.var(apply_awgn(buf, 10.0, 5).samples)
         assert v_hi == pytest.approx(0.1, rel=0.01)
+
+    @staticmethod
+    def one_draw(buf, snr_db, seed_or_rng):
+        """The noise as one draw of I and one of Q, added out of place."""
+        rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
+            else derived_rng(seed_or_rng, STREAM_NOISE)
+        scale = np.sqrt(10.0 ** (-float(snr_db) / 10.0) / 2.0)
+        n = len(buf.samples)
+        return buf.samples + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    @pytest.mark.parametrize("n", [0, 1, AWGN_CHUNK - 1, AWGN_CHUNK, AWGN_CHUNK + 1,
+                                   3 * AWGN_CHUNK + 5])
+    @pytest.mark.parametrize("use_generator", [True, False])
+    def test_chunked_draw_is_one_draw(self, chirp, n, use_generator):
+        buf = IqBuffer(np.exp(1j * np.random.default_rng(n).uniform(-4.0, 4.0, n)), chirp.fs)
+        def source():
+            return np.random.default_rng(321) if use_generator else 321
+        got = apply_awgn(buf, -3.5, source()).samples
+        want = self.one_draw(buf, -3.5, source())
+        assert got.dtype == want.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_non_finite_snr_rejected(self, chirp, snr_db):
+        buf = IqBuffer(np.ones(16, dtype=complex), chirp.fs)
+        with pytest.raises(ConfigError, match="finite"):
+            apply_awgn(buf, snr_db, 1)
 
     def test_deterministic(self, chirp):
         buf = IqBuffer(np.ones(4096, dtype=complex), chirp.fs)

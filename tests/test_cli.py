@@ -68,7 +68,7 @@ class TestCf32Files:
         write_cf32(path, samples)
         assert path.read_bytes() == flat.tobytes()
         back = read_cf32(path)
-        assert back.dtype == np.complex128
+        assert back.dtype == np.complex64   # read as stored, no widening copy
         assert np.array_equal(back.real, flat[0::2]) and np.array_equal(back.imag, flat[1::2])
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -174,6 +174,38 @@ class TestDemodulateCommand:
         assert ber > 0.1
 
 
+    def test_peak_memory_of_a_long_lls_capture(self, tmp_path):
+        """Demodulating 2.1 M samples allocates under 3.5 complex128 copies
+        of the capture at its peak: the cached reference and the baseband
+        (one each), the phase and the track (half each), and block-sized
+        temporaries.  The capture itself stays complex64 and is freed
+        after downconversion."""
+        mp = fcssk.txmod.make_mod_params(fcssk.derive_params(1024.0, 4.0, 65536),
+                                         "manchester", 128)
+        rng = np.random.default_rng(8)
+        bits = rng.integers(0, 2, 4096)
+        clean = fcssk.modulate(fcssk.encode(bits, "manchester", mp.coded_bit_len), mp)
+        rx = fcssk.apply_awgn(fcssk.apply_delay(clean, 3000, mp.chirp), 10.0, rng)
+        capture, decoded = tmp_path / "rx.cf32", tmp_path / "rx.bits"
+        write_cf32(capture, rx.samples)
+        script = textwrap.dedent("""
+            import sys, tracemalloc
+            from fcssk.cli import main
+            tracemalloc.start()
+            rc = main(["demodulate", "--in", sys.argv[1], "--out", sys.argv[2],
+                       "--estimator", "lls"])
+            print(rc, tracemalloc.get_traced_memory()[1])
+        """)
+        src = str(Path(fcssk.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script, str(capture), str(decoded)],
+                              capture_output=True, text=True, timeout=120, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        rc, peak = map(int, done.stdout.split())
+        assert rc == 0 and np.array_equal(read_bits(decoded), bits)
+        assert len(rx) > 2_000_000
+        assert peak < 3.5 * 16 * len(rx), peak / (16 * len(rx))
+
+
 class TestReceiveChain:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("use_sync", [True, False])
@@ -262,6 +294,18 @@ class TestSimulateCommand:
         assert run(["simulate", "--quick", "--bits", bits, "--out", out]) == 1
         assert capsys.readouterr().err == f"error: --bits must be at least 1, got {bits}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "theory"])
+@pytest.mark.parametrize("option,value", [("--snr-start", "nan"), ("--snr-step", "nan"),
+                                          ("--snr-stop", "nan"), ("--snr-start", "-inf"),
+                                          ("--snr-stop", "inf"), ("--snr-step", "inf")])
+def test_non_finite_snr_named(tmp_path, capsys, command, option, value):
+    out = tmp_path / "a.csv"
+    assert run([command, "--quick", f"{option}={value}", "--out", out]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {option} must be a finite number, got {float(value)}\n"
+    assert not out.exists()
 
 
 class TestTheoryCommand:

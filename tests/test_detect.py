@@ -39,6 +39,14 @@ class TestDetectManchester:
             scaled = IfTrack(track.values * scale, track.fs, track.offset)
             assert np.array_equal(decide(scaled, man128).bits, bits)
 
+    def test_metrics_normalized_by_segment_norm(self, man128, rng):
+        track = IfTrack(rng.standard_normal(40 * man128.m + 3), man128.chirp.fs, 0)
+        decision = decide(track, man128)
+        segments = track.values[:40 * man128.m].reshape(40, man128.m)
+        scores = correlations(segments, man128)
+        want = scores.max(axis=1) / np.linalg.norm(segments, axis=1)
+        np.testing.assert_allclose(decision.metrics, want, rtol=1e-12, atol=0)
+
     def test_tie_decides_zero(self, man128):
         flat = IfTrack(np.zeros(man128.m), man128.chirp.fs, 1)
         assert decide(flat, man128).bits.tolist() == [0]

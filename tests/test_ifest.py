@@ -6,8 +6,10 @@ import pytest
 from fcssk import (ConfigError, IfTrack, IqBuffer, LlsParams, apply_awgn, decide,
                    derive_params, downconvert, dpll_response, dpll_track, encode,
                    lls_track, make_dpll_params, modulate, reference_chirp)
-from fcssk.ifest import (OVERLAP_SAVE_SPAN, _fft_size, _lls_design, default_cutoff,
-                         default_dpll, default_f_nat, design_lowpass)
+from fcssk import ifest
+from fcssk.ifest import (LLS_WINDOW_CHUNK, OVERLAP_SAVE_SPAN, _fft_size, _lls_design,
+                         _lowpass_kernel, _overlap_save, default_cutoff, default_dpll,
+                         default_f_nat, design_lowpass)
 from fcssk.sigcore import periodic_reference, unwrap_phase
 from fcssk.txmod import make_mod_params
 
@@ -176,6 +178,28 @@ class TestLlsFactorization:
         np.testing.assert_allclose(lls_track(bb, p).values, dense_lls_track(bb, p),
                                    rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("total", [8 * LLS_WINDOW_CHUNK + 24, 8 * LLS_WINDOW_CHUNK + 35,
+                                       3 * 8 * LLS_WINDOW_CHUNK + 5])
+    def test_chunked_matvec_is_one_matvec(self, chirp, rng, total):
+        # window 32, hop 8: one chunk of windows exactly, one window more, about three
+        bb = IqBuffer(rng.standard_normal(total) + 1j * rng.standard_normal(total), chirp.fs)
+        p = LlsParams(window_len=32)
+        window, hop = 32, 8
+        lead = (window - hop) // 2
+        proj, deriv, scale = _lls_design(p.degree, window)
+        phi = np.unwrap(np.angle(bb.samples))
+        want = np.empty(total)
+        windows = np.lib.stride_tricks.sliding_window_view(phi, window)[::hop]
+        stop = lead + windows.shape[0] * hop
+        np.matvec(deriv[lead:lead + hop], np.matvec(proj, windows),
+                  out=want[lead:stop].reshape(-1, hop))
+        want[:lead] = np.matvec(deriv[:lead], np.matvec(proj, phi[:window]))
+        start_f = total - window
+        want[stop:] = np.matvec(deriv[stop - start_f:], np.matvec(proj, phi[start_f:]))
+        want *= scale * bb.fs
+        got = lls_track(bb, p).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_design_is_cached_and_read_only(self):
         proj, deriv, _ = _lls_design(5, 256)
         assert _lls_design(5, 256)[0] is proj
@@ -276,3 +300,34 @@ class TestDownconvert:
             short = IqBuffer(rx.samples[:n], fs)
             np.testing.assert_allclose(downconvert(short, mp).samples, self.direct(short, mp),
                                        rtol=0, atol=1e-12)
+
+    @staticmethod
+    def full_product(rx, mp):
+        """The mix as one full-length product, then the same overlap-save."""
+        bb = np.conj(periodic_reference(mp.chirp, len(rx.samples)))
+        np.multiply(rx.samples.astype(np.complex128), bb, out=bb)
+        h, spectrum, nfft = _lowpass_kernel(default_cutoff(mp), rx.fs)
+        return _overlap_save(bb, h, spectrum, nfft, lag=(len(h) - 1) // 2)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_group_mix_is_the_full_product(self, man128, dtype):
+        n_bits = 2 * OVERLAP_SAVE_SPAN // man128.m + 7    # three FFT groups, the last partial
+        bits = np.random.default_rng(3).integers(0, 2, n_bits)
+        clean = modulate(encode(bits, "manchester", man128.coded_bit_len), man128)
+        noisy = apply_awgn(clean, 2.0, np.random.default_rng(4)).samples.astype(dtype)
+        taps = len(design_lowpass(default_cutoff(man128), man128.chirp.fs))
+        for n in (len(noisy), OVERLAP_SAVE_SPAN, _fft_size(taps) // 2, taps // 2, 1):
+            rx = IqBuffer(noisy[:n], man128.chirp.fs)
+            got, want = downconvert(rx, man128).samples, self.full_product(rx, man128)
+            assert got.dtype == want.dtype == np.complex128
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+    def test_reference_looked_up_through_ifest(self, man128, monkeypatch):
+        # the bench tracer counts calls at ifest.periodic_reference
+        calls = []
+        def counted(params, n_samples):
+            calls.append(n_samples)
+            return periodic_reference(params, n_samples)
+        monkeypatch.setattr(ifest, "periodic_reference", counted)
+        downconvert(reference_chirp(man128.chirp, 1), man128)
+        assert calls == [man128.chirp.n]

@@ -1,9 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fcssk import (AliasingError, ConfigError, UndefinedPhaseError, IqBuffer,
                    derive_params, instantaneous_frequency, reference_chirp)
-from fcssk.sigcore import reference_frequency, reference_tail
+from fcssk.codec import CodedFrame
+from fcssk.sigcore import (UNWRAP_BLOCK, reference_frequency, reference_tail, synthesize,
+                           unwrap_in_place, unwrap_phase)
+from fcssk.txmod import modulated_frequency
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and np.array_equal(got.view(np.uint64),
+                                                      want.view(np.uint64))
 
 
 class TestDeriveParams:
@@ -110,3 +120,57 @@ class TestReferenceTail:
         with pytest.raises(ConfigError):
             reference_tail(chirp, chirp.n + 1)
         assert len(reference_tail(chirp, 0)) == 0
+
+
+class TestInPlaceSynthesis:
+    """The in-place builds against the formulas they replaced."""
+
+    @pytest.mark.parametrize("fs", [65536, 48000])
+    @pytest.mark.parametrize("t", [0, 1, 2, 16383, 16384, 3 * 16384 + 5])
+    def test_synthesize_is_exp_of_scaled_cumsum(self, man128, rng, fs, t):
+        one_sample = replace(man128, coded_bit_len=1)
+        frame = CodedFrame(bits=rng.integers(0, 2, t), code="manchester", coded_bit_len=1)
+        for freq in (modulated_frequency(frame, one_sample), rng.uniform(-fs / 2, fs / 2, t)):
+            want = np.exp(1j * ((2.0 * np.pi / fs) * np.cumsum(freq)))
+            assert same_bits(synthesize(freq, fs).samples, want)
+
+    @pytest.mark.parametrize("fs", [65536, 48000])
+    @pytest.mark.parametrize("periods", [0.5, 1, 3.25])
+    def test_reference_frequency_is_scaled_mod(self, fs, periods):
+        chirp = derive_params(1024.0, 4.0, fs)
+        n = int(periods * chirp.n)
+        want = chirp.k0 * np.mod(np.arange(n, dtype=np.float64), chirp.n)
+        assert same_bits(reference_frequency(chirp, n), want)
+
+
+class TestUnwrapInPlace:
+    """Blocks of UNWRAP_BLOCK samples start at samples 1, 1 + B, 1 + 2B, ...:
+    the step into a block's first sample crosses the edge."""
+
+    @pytest.mark.parametrize("jump", [np.pi, -np.pi, 2.5 * np.pi, -6.0, 0.5])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_matches_numpy_across_block_edges(self, jump, shift):
+        b = UNWRAP_BLOCK
+        rng = np.random.default_rng(11)
+        phase = np.angle(np.exp(1j * np.cumsum(rng.uniform(-2.0, 2.0, 3 * b + 5))))
+        for edge in (1 + b, 1 + 2 * b, 1 + 3 * b):
+            k = edge + shift          # the step into sample k is exactly ``jump``
+            phase[k - 1], phase[k] = 0.0, jump
+        want = np.unwrap(phase)
+        got = phase.copy()
+        unwrap_in_place(got)
+        assert same_bits(got, want)
+        assert same_bits(unwrap_phase(phase), want)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, UNWRAP_BLOCK, UNWRAP_BLOCK + 1, UNWRAP_BLOCK + 2])
+    def test_lengths_around_one_block(self, rng, n):
+        phase = rng.uniform(-np.pi, np.pi, n)
+        got = phase.copy()
+        unwrap_in_place(got)
+        assert same_bits(got, np.unwrap(phase))
+
+    def test_unwrap_phase_leaves_its_input(self, rng):
+        phase = rng.uniform(-np.pi, np.pi, 1000)
+        kept = phase.copy()
+        unwrap_phase(phase)
+        assert same_bits(phase, kept)

@@ -5,7 +5,8 @@ from fcssk import (ConfigError, IqBuffer, SyncError, align, apply_awgn,
                    apply_delay, derive_params, estimate_timing, modulate, reference_chirp)
 from fcssk.codec import encode
 from fcssk.sigcore import periodic_reference, unwrap_phase
-from fcssk.sync import MAX_SLIP_BOUNDARIES, SLIP_AVG, SLIP_GUARDS, _measure_slips
+from fcssk.sync import (MAX_SLIP_BOUNDARIES, SLIP_AVG, SLIP_GUARDS, _measure_slips,
+                        _mixed_periodogram)
 from fcssk.txmod import make_mod_params
 
 
@@ -137,3 +138,20 @@ class TestMeasureSlips:
                             (n_bits, snr_db, t0, guard)
                         calls += got != 0.0
         assert calls > 0
+
+
+class TestMixedPeriodogram:
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("start,periods", [(0, 1), (0, 3), (777, 2)])
+    def test_in_place_transform_is_the_out_of_place_one(self, chirp, rng, dtype, start, periods):
+        n = chirp.n
+        rx = (rng.standard_normal(4 * n) + 1j * rng.standard_normal(4 * n)).astype(dtype)
+        # out-of-place FFT; the product in place, as in the function (a separate
+        # product array can round differently)
+        mixed = np.conj(periodic_reference(chirp, periods * n))
+        np.multiply(rx[start:start + periods * n], mixed, out=mixed)
+        want = np.abs(np.fft.fft(mixed.reshape(periods, n), axis=1))
+        want **= 2
+        want = want.mean(axis=0)
+        got = _mixed_periodogram(rx, chirp, start, periods)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
