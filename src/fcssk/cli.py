@@ -15,6 +15,7 @@ File formats:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -154,31 +155,81 @@ def _trial_sizes(total_bits: int, code: str) -> list[int]:
     return sizes
 
 
+def _run_trial(cfg: RunConfig, mp: txmod.ModParams, snr_db: float, point_index: int,
+               trial: int, n_bits: int) -> tuple[int, int]:
+    """One trial of one SNR grid point: seeded bits, random delay, AWGN, full
+    receiver.  Returns (bits scored, bit errors)."""
+    bits_rng = channel.derived_rng(cfg.seed, channel.STREAM_BITS, point_index, trial)
+    delay_rng = channel.derived_rng(cfg.seed, channel.STREAM_DELAY, point_index, trial)
+    noise_rng = channel.derived_rng(cfg.seed, channel.STREAM_NOISE, point_index, trial)
+    tx_bits = bits_rng.integers(0, 2, n_bits)
+    frame = codec.encode(tx_bits, cfg.code, mp.coded_bit_len)
+    rx = txmod.modulate(frame, mp)       # one name, so each stage frees its input
+    tau = int(delay_rng.integers(0, mp.chirp.n))
+    tau = min(tau, max(len(rx) - 1, 0))  # tiny bursts: delay must fit
+    rx = channel.apply_delay(rx, tau, mp.chirp)
+    rx = channel.apply_awgn(rx, snr_db, noise_rng)
+    try:
+        decision, _ = receive_chain(rx, mp, cfg.estimator, cfg.use_sync)
+    except SyncError:
+        decision, _ = receive_chain(rx, mp, cfg.estimator, use_sync=False)
+    k = min(len(decision.bits), len(tx_bits))
+    return k, int(np.count_nonzero(decision.bits[:k] != tx_bits[:k]))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_tasks(tasks: list[tuple]) -> list[tuple[int, int]]:
+    """``_run_trial(*task)`` for every task, in task order.
+
+    Trials share nothing but read-only caches, so they run on one thread
+    per usable CPU; with one worker they run in the calling thread.  The
+    first failure cancels the tasks not yet started, waits for the running
+    ones and is re-raised.
+    """
+    workers = min(len(tasks), _usable_cpus())
+    if workers <= 1:
+        return [_run_trial(*task) for task in tasks]
+    # imported here, so a run that starts no thread does not pay the import
+    # time and memory of concurrent.futures and the logging it loads
+    from concurrent.futures import ThreadPoolExecutor, as_completed
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="fcssk-trial")
+    try:
+        futures = [pool.submit(_run_trial, *task) for task in tasks]
+        for future in as_completed(futures):
+            future.result()             # the first failure raises here
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [future.result() for future in futures]
+
+
+def _simulate_points(cfg: RunConfig, mp: txmod.ModParams,
+                     points: list[tuple[int, float]]) -> list[BerRecord]:
+    """One BerRecord per (point index, SNR dB) grid point; the trials of all
+    points run as one batch of tasks."""
+    sizes = _trial_sizes(cfg.bits, cfg.code)
+    results = _run_tasks([(cfg, mp, snr_db, index, trial, n_bits)
+                          for index, snr_db in points
+                          for trial, n_bits in enumerate(sizes)])
+    records = []
+    for i, (_, snr_db) in enumerate(points):
+        trials = results[i * len(sizes):(i + 1) * len(sizes)]
+        records.append(BerRecord(snr_db=snr_db, code=cfg.code, bitrate=cfg.bitrate,
+                                 estimator=cfg.estimator, bits=sum(b for b, _ in trials),
+                                 errors=sum(e for _, e in trials)))
+    return records
+
+
 def simulate_point(cfg: RunConfig, mp: txmod.ModParams, snr_db: float,
                    point_index: int) -> BerRecord:
-    """One SNR grid point: seeded bits, random delay, AWGN, full receiver."""
-    bits_done = 0
-    errors = 0
-    for trial, n_bits in enumerate(_trial_sizes(cfg.bits, cfg.code)):
-        bits_rng = channel.derived_rng(cfg.seed, channel.STREAM_BITS, point_index, trial)
-        delay_rng = channel.derived_rng(cfg.seed, channel.STREAM_DELAY, point_index, trial)
-        noise_rng = channel.derived_rng(cfg.seed, channel.STREAM_NOISE, point_index, trial)
-        tx_bits = bits_rng.integers(0, 2, n_bits)
-        frame = codec.encode(tx_bits, cfg.code, mp.coded_bit_len)
-        rx = txmod.modulate(frame, mp)       # one name, so each stage frees its input
-        tau = int(delay_rng.integers(0, mp.chirp.n))
-        tau = min(tau, max(len(rx) - 1, 0))  # tiny bursts: delay must fit
-        rx = channel.apply_delay(rx, tau, mp.chirp)
-        rx = channel.apply_awgn(rx, snr_db, noise_rng)
-        try:
-            decision, _ = receive_chain(rx, mp, cfg.estimator, cfg.use_sync)
-        except SyncError:
-            decision, _ = receive_chain(rx, mp, cfg.estimator, use_sync=False)
-        k = min(len(decision.bits), len(tx_bits))
-        errors += int(np.count_nonzero(decision.bits[:k] != tx_bits[:k]))
-        bits_done += k
-    return BerRecord(snr_db=snr_db, code=cfg.code, bitrate=cfg.bitrate,
-                     estimator=cfg.estimator, bits=bits_done, errors=errors)
+    """One SNR grid point: its trials summed."""
+    return _simulate_points(cfg, mp, [(point_index, snr_db)])[0]
 
 
 def snr_grid(cfg: RunConfig) -> list[float]:
@@ -200,11 +251,8 @@ def run_simulation(cfg: RunConfig) -> list[tuple]:
         raise FcsskError(f"--bits must be at least 1, got {cfg.bits}")
     if not _trial_sizes(cfg.bits, cfg.code):
         raise FcsskError(f"--bits {cfg.bits} is below one {cfg.code} block")
-    rows = []
-    for index, snr_db in enumerate(snr_grid(cfg)):
-        rec = simulate_point(cfg, mp, snr_db, index)
-        rows.append((rec.snr_db, rec.code, rec.bitrate, rec.estimator,
-                     rec.bits, rec.errors, rec.ber))
+    rows = [(rec.snr_db, rec.code, rec.bitrate, rec.estimator, rec.bits, rec.errors, rec.ber)
+            for rec in _simulate_points(cfg, mp, list(enumerate(snr_grid(cfg))))]
     if cfg.with_theory:
         rows.extend(theory_rows(cfg, mp))
     return rows

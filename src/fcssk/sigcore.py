@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,15 +139,19 @@ def reference_tail(params: ChirpParams, n_samples: int) -> np.ndarray:
 
 
 _PERIODIC_CACHE: dict[ChirpParams, np.ndarray] = {}
+_PERIODIC_LOCK = threading.Lock()    # concurrent trials: one build, never a shorter one
 
 
 def periodic_reference(params: ChirpParams, n_samples: int) -> np.ndarray:
-    """First ``n_samples`` of the endless periodic reference chirp (cached)."""
-    cached = _PERIODIC_CACHE.get(params)
-    if cached is None or len(cached) < n_samples:
-        periods = max(-(-n_samples // params.n), 1)
-        cached = reference_chirp(params, periods).samples
-        _PERIODIC_CACHE[params] = cached
+    """First ``n_samples`` of the endless periodic reference chirp (cached,
+    read-only)."""
+    with _PERIODIC_LOCK:
+        cached = _PERIODIC_CACHE.get(params)
+        if cached is None or len(cached) < n_samples:
+            periods = max(-(-n_samples // params.n), 1)
+            cached = reference_chirp(params, periods).samples
+            cached.flags.writeable = False  # shared by every caller
+            _PERIODIC_CACHE[params] = cached
     return cached[:n_samples]
 
 

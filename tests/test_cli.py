@@ -2,13 +2,16 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fcssk
-from fcssk import FileFormatError, IqBuffer, NonFiniteSampleError
+from fcssk import (ConfigError, FileFormatError, IqBuffer, NonFiniteSampleError, SyncError,
+                   cli, sync)
 from fcssk.cli import (_config_from_args, build_parser, main, parse_csv, read_bits,
                        read_cf32, receive_chain, rows_to_csv, write_bits, write_cf32)
 
@@ -219,15 +222,18 @@ class TestReceiveChain:
 
 
     def test_no_cpu_spent_after_a_trial(self):
-        """One sync'd trial per estimator, then a 200 ms sleep that must cost
-        under 30 ms of CPU.  A multi-threaded BLAS-3 product (matrix times
-        matrix) in the chain leaves OpenBLAS's worker threads busy-waiting
-        for about 130 ms of CPU after it returns.  With a BLAS build that
-        does not spin, this passes whatever the chain calls."""
+        """One sync'd trial per estimator and a sweep on the trial thread
+        pool, then a 200 ms sleep that must cost under 30 ms of CPU.  A
+        multi-threaded BLAS-3 product (matrix times matrix) in the chain
+        leaves OpenBLAS's worker threads busy-waiting for about 130 ms of
+        CPU after it returns, and a pool thread left running would spend
+        it too.  With a BLAS build that does not spin, this passes
+        whatever the chain calls."""
         script = textwrap.dedent("""
+            import os
             import time
             import numpy as np
-            from fcssk import apply_awgn, apply_delay, derive_params, encode, modulate
+            from fcssk import apply_awgn, apply_delay, cli, derive_params, encode, modulate
             from fcssk.cli import receive_chain
             from fcssk.txmod import make_mod_params
             mp = make_mod_params(derive_params(1024.0, 4.0, 65536), "manchester", 128)
@@ -239,6 +245,9 @@ class TestReceiveChain:
                 decision, _ = receive_chain(rx, mp, estimator, True)
                 got = decision.bits
                 assert len(got) > 250 and np.array_equal(got, bits[:len(got)]), estimator
+            cli._usable_cpus = lambda: 2        # a 2-point sweep on two pool threads
+            assert cli.main(["simulate", "--bitrate", "512", "--bits", "600",
+                             "--snr-start", "10", "--snr-stop", "12", "--out", os.devnull]) == 0
             start = time.process_time()
             time.sleep(0.2)
             print(time.process_time() - start)
@@ -293,6 +302,74 @@ class TestSimulateCommand:
         out = tmp_path / "a.csv"
         assert run(["simulate", "--quick", "--bits", bits, "--out", out]) == 1
         assert capsys.readouterr().err == f"error: --bits must be at least 1, got {bits}\n"
+        assert not out.exists()
+
+
+class TestTrialEngine:
+    """The trials of a sweep run on one thread per usable CPU."""
+
+    def test_csv_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        # 2004 + 2004 + a 600-bit remainder per point; -30 dB takes the
+        # no-sync fallback in every trial
+        fallbacks = []
+        estimate = sync.estimate_timing
+
+        def spy(rx, params):
+            try:
+                return estimate(rx, params)
+            except SyncError:
+                fallbacks.append(1)
+                raise
+        monkeypatch.setattr(sync, "estimate_timing", spy)
+        outputs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+            out = tmp_path / f"cpus{cpus}.csv"
+            assert run(["simulate", "--bitrate", 512, "--bits", 4608, "--seed", 4,
+                        "--snr-start", -30, "--snr-stop", 20, "--snr-step", 25,
+                        "--with-theory", "--out", out]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert cli._trial_sizes(4608, "manchester") == [2004, 2004, 600]
+        assert len(fallbacks) == 3 * 3
+        scored = [r["bits"] for r in parse_csv(outputs[0].decode()) if r["estimator"] == "dpll"]
+        assert scored[0] == scored[2] == 4608     # -30 and 20 dB: every trial counted
+
+    @pytest.mark.parametrize("cpus,bits,points", [(4, 600, 1), (1, 4608, 3)])
+    def test_one_worker_starts_no_thread(self, tmp_path, monkeypatch, cpus, bits, points):
+        threads_before = threading.active_count()
+        seen = []
+
+        def trial(cfg, mp, snr_db, point_index, trial, n_bits):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         threading.active_count()))
+            return n_bits, 0
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "_run_trial", trial)
+        assert run(["simulate", "--bits", bits, "--snr-start", 0, "--snr-stop", points - 1,
+                    "--snr-step", 1, "--out", tmp_path / "a.csv"]) == 0
+        assert len(seen) == points * len(cli._trial_sizes(bits, "manchester"))
+        assert seen == [(True, threads_before)] * len(seen)
+
+    def test_failure_cancels_queued_trials(self, tmp_path, monkeypatch, capsys):
+        started = []
+
+        def trial(cfg, mp, snr_db, point_index, trial, n_bits):
+            started.append((point_index, trial))
+            if point_index == 1:
+                raise ConfigError(f"trial {trial} of point {point_index} failed")
+            time.sleep(0.05)
+            return n_bits, 0
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_run_trial", trial)
+        out = tmp_path / "a.csv"
+        assert run(["simulate", "--bits", 3 * 2004, "--snr-start", 0, "--snr-stop", 3,
+                    "--snr-step", 1, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trial ") and err.endswith(" failed\n")
+        assert err.count("\n") == 1
+        assert len(started) < 4 * 3
+        assert not [t for t in threading.enumerate() if t.name.startswith("fcssk-trial")]
         assert not out.exists()
 
 

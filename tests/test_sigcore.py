@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -5,9 +7,10 @@ import pytest
 
 from fcssk import (AliasingError, ConfigError, UndefinedPhaseError, IqBuffer,
                    derive_params, instantaneous_frequency, reference_chirp)
+from fcssk import sigcore
 from fcssk.codec import CodedFrame
-from fcssk.sigcore import (UNWRAP_BLOCK, reference_frequency, reference_tail, synthesize,
-                           unwrap_in_place, unwrap_phase)
+from fcssk.sigcore import (UNWRAP_BLOCK, periodic_reference, reference_frequency,
+                           reference_tail, synthesize, unwrap_in_place, unwrap_phase)
 from fcssk.txmod import modulated_frequency
 
 
@@ -75,6 +78,44 @@ class TestReferenceChirp:
     def test_rejects_zero_periods(self, chirp):
         with pytest.raises(ConfigError):
             reference_chirp(chirp, 0)
+
+
+class TestPeriodicReference:
+    def test_is_the_reference_chirp(self, chirp):
+        ref = periodic_reference(chirp, 2 * chirp.n + 5)
+        assert np.array_equal(ref, reference_chirp(chirp, 3).samples[:2 * chirp.n + 5])
+
+    def test_read_only(self, chirp):
+        # concurrent trials share the cached array
+        ref = periodic_reference(chirp, chirp.n)
+        with pytest.raises(ValueError):
+            ref[0] = 0.0
+        with pytest.raises(ValueError):
+            ref *= 2.0
+
+    def test_concurrent_callers_build_each_length_once(self, chirp, monkeypatch):
+        # more threads than cores, switching often: every caller gets the
+        # right prefix, and the cache is only ever rebuilt longer
+        monkeypatch.setattr(sigcore, "_PERIODIC_CACHE", {})
+        builds = []
+
+        def counted(params, n_periods):
+            builds.append(n_periods)
+            return reference_chirp(params, n_periods)
+        monkeypatch.setattr(sigcore, "reference_chirp", counted)
+        lengths = [(k % 5 + 1) * chirp.n - k for k in range(32)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(lambda n: periodic_reference(chirp, n), lengths, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        want = reference_chirp(chirp, 5).samples
+        assert [len(g) for g in got] == lengths
+        assert all(np.array_equal(g, want[:len(g)]) for g in got)
+        assert builds == sorted(set(builds))
+        assert len(sigcore._PERIODIC_CACHE[chirp]) == 5 * chirp.n
 
 
 class TestInstantaneousFrequency:
