@@ -3,13 +3,12 @@
 Transmitter, channel model, blind timing synchronization, two
 instantaneous-frequency estimators (DPLL, sliding-window LLS), one codec
 and one template-bank detector for two constant-weight codes, closed-form
-performance bounds, and a Monte-Carlo simulation CLI.
+performance bounds, a Monte-Carlo BER engine and its CLI.
 """
 
 from .channel import apply_awgn, apply_delay, derived_rng
 from .codec import (B6B8, CODE_NAMES, MANCHESTER, CodedFrame, CodeSpec,
-                    build_6b8b_codebook, decode, encode, get_code_spec,
-                    manchester_spec)
+                    build_6b8b_codebook, decode, encode, get_code_spec)
 from .detect import Decision, decide, template_bank
 from .errors import (AliasingError, CodeViolationError, ConfigError, FcsskError,
                      FileFormatError, FramingError, NonFiniteSampleError, SyncError,

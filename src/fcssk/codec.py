@@ -8,7 +8,6 @@ bandwidth when modulated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -17,8 +16,6 @@ from .errors import CodeViolationError, ConfigError, FramingError
 
 MANCHESTER = "manchester"
 B6B8 = "6b8b"
-
-CODE_NAMES = (MANCHESTER, B6B8)
 
 
 @dataclass(frozen=True)
@@ -50,12 +47,6 @@ def _boundary_run_sum(word: tuple[int, ...]) -> int:
     return lead + trail
 
 
-@lru_cache(maxsize=None)
-def manchester_spec() -> CodeSpec:
-    return CodeSpec(name=MANCHESTER, p=1, q=2, w=1, codebook=((0, 1), (1, 0)))
-
-
-@lru_cache(maxsize=None)
 def build_6b8b_codebook() -> CodeSpec:
     """Deterministic weight-4 octet codebook.
 
@@ -78,12 +69,18 @@ def build_6b8b_codebook() -> CodeSpec:
     return CodeSpec(name=B6B8, p=6, q=8, w=4, codebook=kept)
 
 
+CODE_SPECS = {
+    MANCHESTER: CodeSpec(name=MANCHESTER, p=1, q=2, w=1, codebook=((0, 1), (1, 0))),
+    B6B8: build_6b8b_codebook(),
+}
+CODE_NAMES = tuple(CODE_SPECS)
+
+
 def get_code_spec(name: str) -> CodeSpec:
-    if name == MANCHESTER:
-        return manchester_spec()
-    if name == B6B8:
-        return build_6b8b_codebook()
-    raise ConfigError(f"unknown code {name!r}; expected one of {CODE_NAMES}")
+    try:
+        return CODE_SPECS[name]
+    except KeyError:
+        raise ConfigError(f"unknown code {name!r}; expected one of {CODE_NAMES}") from None
 
 
 def _as_bits(bits) -> np.ndarray:

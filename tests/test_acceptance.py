@@ -13,7 +13,8 @@ from fcssk import (IqBuffer, apply_awgn, apply_delay, bit_energy, crb_variance,
                    derive_params, estimate_timing, lls_track, make_dpll_params,
                    modulate, snr_at_pe)
 from fcssk.channel import STREAM_DELAY, derived_rng
-from fcssk.cli import RunConfig, main, parse_csv, simulate_point
+from fcssk.chain import simulate
+from fcssk.cli import main, parse_csv
 from fcssk.codec import encode
 from fcssk.ifest import LlsParams, dpll_response, dpll_track
 from fcssk.txmod import ideal_deviation_track, make_mod_params
@@ -30,11 +31,9 @@ def chirp():
 
 
 def _point(chirp, code, bitrate, estimator, snr_db, bits, seed, index=0):
-    cfg = RunConfig(chirp=chirp, code=code, bitrate=bitrate, estimator=estimator,
-                    snr_start=snr_db, snr_stop=snr_db, snr_step=2.0, bits=bits,
-                    seed=seed, use_sync=True, with_theory=False)
+    """(bits scored, bit errors) at one SNR point of a blind-sync sweep."""
     mp = make_mod_params(chirp, code, bitrate)
-    return simulate_point(cfg, mp, snr_db, index)
+    return simulate(mp, estimator, [(index, snr_db)], bits, seed)[0]
 
 
 def test_criterion_01_round_trip_zero_errors(chirp):
@@ -44,9 +43,9 @@ def test_criterion_01_round_trip_zero_errors(chirp):
     for code in ("manchester", "6b8b"):
         for bitrate in (128, 256, 512):
             for estimator in ("dpll", "lls"):
-                rec = _point(chirp, code, bitrate, estimator, 30.0, 10_000, seed=11)
-                if rec.errors or rec.bits < 9_000:
-                    failures.append((code, bitrate, estimator, rec.errors, rec.bits))
+                bits, errors = _point(chirp, code, bitrate, estimator, 30.0, 10_000, seed=11)
+                if errors or bits < 9_000:
+                    failures.append((code, bitrate, estimator, errors, bits))
     report(1, f"round-trip matrix at 30 dB, failures={failures}", not failures)
 
 
@@ -115,9 +114,12 @@ def test_criterion_05_theory_curves(chirp):
 def _waterfall_snr(chirp, estimator, seed):
     """Smallest-SNR crossing of BER = 1e-2 in the simulated curve."""
     target = 1e-2
-    coarse = [(snr, _point(chirp, "manchester", 128, estimator, float(snr),
-                           10_000, seed, index=i).ber)
-              for i, snr in enumerate(range(-6, 7, 2))]
+
+    def ber(snr, bits, index):
+        scored, errors = _point(chirp, "manchester", 128, estimator, float(snr), bits, seed,
+                                index=index)
+        return errors / scored if scored else 0.0
+    coarse = [(snr, ber(snr, 10_000, i)) for i, snr in enumerate(range(-6, 7, 2))]
     bracket = None
     for (s0, b0), (s1, b1) in zip(coarse, coarse[1:]):
         if b0 >= target > b1:
@@ -125,9 +127,7 @@ def _waterfall_snr(chirp, estimator, seed):
             break
     assert bracket is not None, f"no 1e-2 crossing in coarse scan: {coarse}"
     fine_grid = [bracket[0] - 1, bracket[0], bracket[0] + 1, bracket[1]]
-    fine = [(snr, _point(chirp, "manchester", 128, estimator, float(snr),
-                         100_000, seed, index=10 + i).ber)
-            for i, snr in enumerate(fine_grid)]
+    fine = [(snr, ber(snr, 100_000, 10 + i)) for i, snr in enumerate(fine_grid)]
     floor = 0.5 / 100_000
     for (s0, b0), (s1, b1) in zip(fine, fine[1:]):
         if b0 >= target > b1:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,9 +12,10 @@ import pytest
 
 import fcssk
 from fcssk import (ConfigError, FileFormatError, IqBuffer, NonFiniteSampleError, SyncError,
-                   cli, sync)
-from fcssk.cli import (_config_from_args, build_parser, main, parse_csv, read_bits,
-                       read_cf32, receive_chain, rows_to_csv, write_bits, write_cf32)
+                   chain, sync)
+from fcssk.chain import receive_chain
+from fcssk.cli import (_bits_from_args, build_parser, main, parse_csv, read_bits,
+                       read_cf32, rows_to_csv, write_bits, write_cf32)
 
 
 def run(args):
@@ -233,8 +235,8 @@ class TestReceiveChain:
             import os
             import time
             import numpy as np
-            from fcssk import apply_awgn, apply_delay, cli, derive_params, encode, modulate
-            from fcssk.cli import receive_chain
+            from fcssk import apply_awgn, apply_delay, chain, cli, derive_params, encode, modulate
+            from fcssk.chain import receive_chain
             from fcssk.txmod import make_mod_params
             mp = make_mod_params(derive_params(1024.0, 4.0, 65536), "manchester", 128)
             rng = np.random.default_rng(5)
@@ -242,10 +244,10 @@ class TestReceiveChain:
             clean = modulate(encode(bits, "manchester", mp.coded_bit_len), mp)
             rx = apply_awgn(apply_delay(clean, 5000, mp.chirp), 10.0, rng)
             for estimator in ("dpll", "lls"):
-                decision, _ = receive_chain(rx, mp, estimator, True)
+                decision = receive_chain(rx, mp, estimator, True)
                 got = decision.bits
                 assert len(got) > 250 and np.array_equal(got, bits[:len(got)]), estimator
-            cli._usable_cpus = lambda: 2        # a 2-point sweep on two pool threads
+            chain._usable_cpus = lambda: 2        # a 2-point sweep on two pool threads
             assert cli.main(["simulate", "--bitrate", "512", "--bits", "600",
                              "--snr-start", "10", "--snr-stop", "12", "--out", os.devnull]) == 0
             start = time.process_time()
@@ -295,7 +297,7 @@ class TestSimulateCommand:
                                            (["--quick", "--bits", "600"], 600)])
     def test_quick_yields_to_explicit_bits(self, args, bits):
         parsed = build_parser().parse_args(["simulate"] + args)
-        assert _config_from_args(parsed).bits == bits
+        assert _bits_from_args(parsed) == bits
 
     @pytest.mark.parametrize("bits", [-5, 0])
     def test_non_positive_bits_rejected(self, tmp_path, capsys, bits):
@@ -303,6 +305,25 @@ class TestSimulateCommand:
         assert run(["simulate", "--quick", "--bits", bits, "--out", out]) == 1
         assert capsys.readouterr().err == f"error: --bits must be at least 1, got {bits}\n"
         assert not out.exists()
+
+    # sha256 of each CSV, recorded before the engine moved out of the CLI.
+    # In each curve the -28 dB point takes the no-sync fallback, and some
+    # points score fewer bits than were sent (e.g. 6b8b: 504 of 600 at -16 dB).
+    PINNED = {
+        ("manchester", "dpll"): "4a18acd287c48a89696c1568ea4226223c425fdfa507d038a4bb416602e1f21f",
+        ("manchester", "lls"): "269218f5951f44abf7cdbab6a709550d5fee8f6259d9db2c394012aacbdd38a1",
+        ("6b8b", "dpll"): "d7c2cc47a93df561a1975cb7b97da712c7514d8e408e685fe3c4d5e26c156a25",
+        ("6b8b", "lls"): "bf3bc7279d0076caf55036f5828270e88da4d33be47f84f53af3c233ba9212e2",
+    }
+
+    @pytest.mark.parametrize("code,estimator", sorted(PINNED))
+    def test_sweep_bytes_pinned(self, tmp_path, code, estimator):
+        out = tmp_path / "a.csv"
+        assert run(["simulate", "--code", code, "--estimator", estimator, "--bitrate", 512,
+                    "--bits", 600, "--seed", 1, "--snr-start", -28, "--snr-stop", 20,
+                    "--snr-step", 12, "--with-theory", "--out", out]) == 0
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.PINNED[code, estimator], data.decode()
 
 
 class TestTrialEngine:
@@ -323,14 +344,14 @@ class TestTrialEngine:
         monkeypatch.setattr(sync, "estimate_timing", spy)
         outputs = []
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(chain, "_usable_cpus", lambda cpus=cpus: cpus)
             out = tmp_path / f"cpus{cpus}.csv"
             assert run(["simulate", "--bitrate", 512, "--bits", 4608, "--seed", 4,
                         "--snr-start", -30, "--snr-stop", 20, "--snr-step", 25,
                         "--with-theory", "--out", out]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
-        assert cli._trial_sizes(4608, "manchester") == [2004, 2004, 600]
+        assert chain.trial_sizes(4608, "manchester") == [2004, 2004, 600]
         assert len(fallbacks) == 3 * 3
         scored = [r["bits"] for r in parse_csv(outputs[0].decode()) if r["estimator"] == "dpll"]
         assert scored[0] == scored[2] == 4608     # -30 and 20 dB: every trial counted
@@ -340,28 +361,28 @@ class TestTrialEngine:
         threads_before = threading.active_count()
         seen = []
 
-        def trial(cfg, mp, snr_db, point_index, trial, n_bits):
+        def trial(mp, estimator, use_sync, seed, snr_db, point_index, trial, n_bits):
             seen.append((threading.current_thread() is threading.main_thread(),
                          threading.active_count()))
             return n_bits, 0
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(cli, "_run_trial", trial)
+        monkeypatch.setattr(chain, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(chain, "_run_trial", trial)
         assert run(["simulate", "--bits", bits, "--snr-start", 0, "--snr-stop", points - 1,
                     "--snr-step", 1, "--out", tmp_path / "a.csv"]) == 0
-        assert len(seen) == points * len(cli._trial_sizes(bits, "manchester"))
+        assert len(seen) == points * len(chain.trial_sizes(bits, "manchester"))
         assert seen == [(True, threads_before)] * len(seen)
 
     def test_failure_cancels_queued_trials(self, tmp_path, monkeypatch, capsys):
         started = []
 
-        def trial(cfg, mp, snr_db, point_index, trial, n_bits):
+        def trial(mp, estimator, use_sync, seed, snr_db, point_index, trial, n_bits):
             started.append((point_index, trial))
             if point_index == 1:
                 raise ConfigError(f"trial {trial} of point {point_index} failed")
             time.sleep(0.05)
             return n_bits, 0
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "_run_trial", trial)
+        monkeypatch.setattr(chain, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(chain, "_run_trial", trial)
         out = tmp_path / "a.csv"
         assert run(["simulate", "--bits", 3 * 2004, "--snr-start", 0, "--snr-stop", 3,
                     "--snr-step", 1, "--out", out]) == 1
@@ -383,6 +404,17 @@ def test_non_finite_snr_named(tmp_path, capsys, command, option, value):
     assert capsys.readouterr().err == \
         f"error: {option} must be a finite number, got {float(value)}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("start,stop,step,first,last,count",
+                         [(0, 1, 0.6, 0, 0.6, 2), (-30, 30, 7, -30, 26, 9),
+                          (-16, 20, 0.1, -16, 20, 361)])
+def test_snr_grid_stops_at_stop(tmp_path, start, stop, step, first, last, count):
+    out = tmp_path / "t.csv"
+    assert run(["theory", "--snr-start", start, "--snr-stop", stop, "--snr-step", step,
+                "--out", out]) == 0
+    snrs = [r["snr_db"] for r in parse_csv(out.read_text())]
+    assert (snrs[0], snrs[-1], len(snrs)) == (first, pytest.approx(last), count)
 
 
 class TestTheoryCommand:

@@ -3,8 +3,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fcssk import (CodeViolationError, FramingError, build_6b8b_codebook, decode,
-                   encode)
+from fcssk import (CodeViolationError, ConfigError, FramingError, build_6b8b_codebook,
+                   decode, encode, get_code_spec)
 
 
 def max_run(bits) -> int:
@@ -118,3 +118,9 @@ class Test6b8bCodec:
         for _ in range(20):
             u = rng.integers(0, 2, 6 * int(rng.integers(1, 50)))
             assert np.array_equal(decode(encode(u, "6b8b").bits, "6b8b"), u)
+
+
+def test_unknown_code_named():
+    with pytest.raises(ConfigError, match=r"^unknown code '8b10b'; expected one of "
+                                          r"\('manchester', '6b8b'\)$"):
+        get_code_spec("8b10b")

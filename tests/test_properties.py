@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fcssk import (CODE_NAMES, ConfigError, decode, derive_params, encode, get_code_spec,
                    ideal_deviation_track, modulate)
-from fcssk.cli import receive_chain
+from fcssk.chain import receive_chain
 from fcssk.ifest import default_dpll
 from fcssk.sigcore import unwrap_phase
 from fcssk.txmod import make_mod_params
@@ -71,7 +71,7 @@ def strict_operating_points(draw):
 def test_noiseless_round_trip_over_envelope(case, estimator):
     mp, bits = case
     rx = modulate(encode(bits, mp.code, mp.coded_bit_len), mp)
-    decision, _ = receive_chain(rx, mp, estimator, use_sync=False)
+    decision = receive_chain(rx, mp, estimator, use_sync=False)
     assert np.array_equal(decision.bits, bits)
 
 
@@ -84,7 +84,7 @@ def test_low_fs_bursts_decode(fs, code, estimator):
     mp = make_mod_params(derive_params(700.0, 4.0, fs, strict=True), code, 512)
     bits = np.random.default_rng(5).integers(0, 2, 120)
     rx = modulate(encode(bits, code, mp.coded_bit_len), mp)
-    decision, _ = receive_chain(rx, mp, estimator, use_sync=False)
+    decision = receive_chain(rx, mp, estimator, use_sync=False)
     assert np.array_equal(decision.bits, bits)
 
 
