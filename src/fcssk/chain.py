@@ -2,9 +2,11 @@
 
 ``receive_chain`` runs sync -> downconvert -> IF estimation -> detection on
 one capture.  ``simulate`` sweeps SNR grid points: each point is split into
-trials of at most ``TRIAL_BITS`` info bits, every trial draws its bits,
+trials of about ``TRIAL_BITS`` info bits, every trial draws its bits,
 delay and noise from its own ``(seed, point, trial)`` streams, and the
-trials of all points run on one thread per usable CPU.
+trials of all points run on one thread per usable CPU.  Each trial runs
+serially: its block-split stages stay in its thread, so a sweep has one
+level of parallelism and the memory of one trial per thread.
 
 Stages are called through their module attributes (``sync.estimate_timing``,
 ``codec.encode``, ...), so a tracer that wraps those attributes sees them.
@@ -12,13 +14,11 @@ Stages are called through their module attributes (``sync.estimate_timing``,
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from . import channel, codec, detect, ifest, sync, txmod
 from .errors import FcsskError, NonFiniteSampleError, SyncError
-from .sigcore import IqBuffer
+from .sigcore import IqBuffer, first_non_finite, run_parallel, serially
 
 TRIAL_BITS = 2004          # per-trial burst size; divisible by 6 for 6b8b
 
@@ -26,8 +26,8 @@ TRIAL_BITS = 2004          # per-trial burst size; divisible by 6 for 6b8b
 def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
                   use_sync: bool) -> detect.Decision:
     """sync -> downconvert -> IF estimation -> detection."""
-    if not np.isfinite(rx.samples).all():
-        index = int(np.argmin(np.isfinite(rx.samples)))
+    index = first_non_finite(rx.samples)
+    if index is not None:
         raise NonFiniteSampleError(f"sample {index} is {rx.samples[index]}, "
                                    f"not a finite number", index=index)
     if use_sync:
@@ -46,9 +46,15 @@ def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
     return detect.decide(track, mp)
 
 
-def trial_sizes(total_bits: int, code: str) -> list[int]:
+def period_bits(mp: txmod.ModParams) -> int:
+    """Fewest info bits whose burst spans one chirp period, which sync needs."""
+    return -(-mp.chirp.n // mp.m)
+
+
+def trial_sizes(total_bits: int, code: str, min_bits: int = 1) -> list[int]:
     """Info bits per trial: whole TRIAL_BITS bursts, then the remainder cut
-    to whole code blocks (an empty list when not one block fits)."""
+    to whole code blocks (an empty list when not one block fits).  A
+    remainder below ``min_bits`` joins the trial before it, if any."""
     block = codec.get_code_spec(code).p
     sizes = []
     remaining = total_bits
@@ -56,7 +62,9 @@ def trial_sizes(total_bits: int, code: str) -> list[int]:
         sizes.append(TRIAL_BITS)
         remaining -= TRIAL_BITS
     remaining -= remaining % block
-    if remaining:
+    if remaining and remaining < min_bits and sizes:
+        sizes[-1] += remaining
+    elif remaining:
         sizes.append(remaining)
     return sizes
 
@@ -83,36 +91,9 @@ def _run_trial(mp: txmod.ModParams, estimator: str, use_sync: bool, seed: int,
     return k, int(np.count_nonzero(decision.bits[:k] != tx_bits[:k]))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask, where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _run_tasks(tasks: list[tuple]) -> list[tuple[int, int]]:
-    """``_run_trial(*task)`` for every task, in task order.
-
-    Trials share nothing but read-only caches, so they run on one thread
-    per usable CPU; with one worker they run in the calling thread.  The
-    first failure cancels the tasks not yet started, waits for the running
-    ones and is re-raised.
-    """
-    workers = min(len(tasks), _usable_cpus())
-    if workers <= 1:
-        return [_run_trial(*task) for task in tasks]
-    # imported here, so a run that starts no thread does not pay the import
-    # time and memory of concurrent.futures and the logging it loads
-    from concurrent.futures import ThreadPoolExecutor, as_completed
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="fcssk-trial")
-    try:
-        futures = [pool.submit(_run_trial, *task) for task in tasks]
-        for future in as_completed(futures):
-            future.result()             # the first failure raises here
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return [future.result() for future in futures]
+def _trial(task: tuple) -> tuple[int, int]:
+    """``_run_trial(*task)``, its stages kept in this thread."""
+    return serially(_run_trial, *task)
 
 
 def simulate(mp: txmod.ModParams, estimator: str, points: list[tuple[int, float]],
@@ -120,11 +101,12 @@ def simulate(mp: txmod.ModParams, estimator: str, points: list[tuple[int, float]
     """(bits scored, bit errors) for each (point index, SNR dB) grid point,
     ``bits`` info bits sent at each.  The point index, not its position in
     ``points``, selects the point's random streams.  The trials of all
-    points run as one batch of tasks."""
-    sizes = trial_sizes(bits, mp.code)
-    results = _run_tasks([(mp, estimator, use_sync, seed, snr_db, index, trial, n_bits)
-                          for index, snr_db in points
-                          for trial, n_bits in enumerate(sizes)])
+    points run as one batch on ``run_parallel``; a remainder trial shorter
+    than one chirp period joins the trial before it."""
+    sizes = trial_sizes(bits, mp.code, period_bits(mp))
+    results = run_parallel(_trial, [(mp, estimator, use_sync, seed, snr_db, index, trial, n_bits)
+                                    for index, snr_db in points
+                                    for trial, n_bits in enumerate(sizes)])
     totals = []
     for i in range(len(points)):
         trials = results[i * len(sizes):(i + 1) * len(sizes)]

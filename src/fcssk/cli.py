@@ -25,7 +25,7 @@ import numpy as np
 from . import chain, codec, theory, txmod
 from .chain import TRIAL_BITS
 from .errors import FcsskError, FileFormatError
-from .sigcore import IqBuffer, derive_params
+from .sigcore import IqBuffer, derive_params, first_non_finite, run_blocks
 
 CSV_HEADER = "snr_db,code,bitrate,estimator,bits,errors,ber"
 DEFAULT_BITS = 100_000
@@ -74,9 +74,9 @@ def read_cf32(path: str) -> np.ndarray:
         raise FileFormatError(
             f"{path}: length {len(raw)} is not a multiple of 8 bytes "
             "(interleaved float32 I,Q pairs)", offset=len(raw) - len(raw) % 8)
-    finite = np.isfinite(np.frombuffer(raw, dtype="<f4"))
-    if not finite.all():
-        offset = 8 * (int(np.argmin(finite)) // 2)  # start of the first bad I,Q pair
+    bad = first_non_finite(np.frombuffer(raw, dtype="<f4"))
+    if bad is not None:
+        offset = 8 * (bad // 2)  # start of the first bad I,Q pair
         raise FileFormatError(f"{path}: non-finite sample at byte offset {offset}",
                               offset=offset)
     return np.frombuffer(raw, dtype="<c8")   # as stored: every consumer widens it exactly
@@ -84,7 +84,12 @@ def read_cf32(path: str) -> np.ndarray:
 
 def write_cf32(path: str, samples: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        samples.astype("<c8").tofile(fh)
+        out = np.empty(len(samples), dtype="<c8")
+
+        def narrow(s: slice) -> None:
+            out[s] = samples[s]
+        run_blocks(narrow, len(samples))
+        out.tofile(fh)
 
 
 # ---------------------------------------------------------------- SNR grid
@@ -192,8 +197,14 @@ def cmd_simulate(args) -> int:
     bits = _bits_from_args(args)
     if bits < 1:
         raise FcsskError(f"--bits must be at least 1, got {bits}")
-    if not chain.trial_sizes(bits, args.code):
+    period = chain.period_bits(mp)
+    sizes = chain.trial_sizes(bits, args.code, period)
+    if not sizes:
         raise FcsskError(f"--bits {bits} is below one {args.code} block")
+    if not args.no_sync and min(sizes) < period:
+        raise FcsskError(f"a trial of {min(sizes)} bits is shorter than the {period} bits "
+                         f"of one chirp period at {mp.bitrate} b/s, which sync needs; "
+                         f"raise --bits, lower --bitrate or use --no-sync")
     grid = snr_grid(args)
     totals = chain.simulate(mp, args.estimator, list(enumerate(grid)), bits, args.seed,
                             use_sync=not args.no_sync)
@@ -235,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--snr-step", type=float, default=2.0)
     common.add_argument("--bits", type=int, default=None,
                         help=f"info bits per SNR point (default {DEFAULT_BITS}), "
-                             f"sent in trials of at most {TRIAL_BITS}")
+                             f"sent in trials of {TRIAL_BITS} and a remainder")
     common.add_argument("--seed", type=int, default=1)
     common.add_argument("--no-sync", action="store_true")
     common.add_argument("--with-theory", action="store_true")

@@ -28,7 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .sigcore import IfTrack, IqBuffer, periodic_reference, unwrap_in_place
+from .sigcore import (IfTrack, IqBuffer, parallel_workers, periodic_reference, run_blocks,
+                      run_parallel, unwrap_in_place)
 from .txmod import ModParams, peak_deviation
 
 LOWPASS_SPAN_S = 128 / 65536  # lowpass length, s: 128 sample intervals at 65536 S/s
@@ -202,7 +203,10 @@ def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
     OVERLAP_SAVE_SPAN samples; each group is a view of ``x`` (a
     zero-padded copy only at the two ends), or its product with the
     reference span, and lands in one preallocated output, so the memory
-    beyond that output stays bounded.
+    beyond that output stays bounded.  With several workers, the groups
+    are that span split across them and run on ``run_parallel``, so the
+    temporaries in flight stay about one group.  Each block is its own
+    FFT, whatever its group, so the output does not depend on the split.
     """
     n, taps = len(x), len(h)
     keep = nfft - taps + 1
@@ -211,10 +215,11 @@ def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
         forward, inverse = np.fft.fft, np.fft.ifft
     else:
         forward, inverse = np.fft.rfft, np.fft.irfft
-    group = max(OVERLAP_SAVE_SPAN // keep, 1)       # blocks per batched FFT
+    group = max(OVERLAP_SAVE_SPAN // keep // parallel_workers(), 1)   # blocks per batched FFT
     total = -(-n // keep)
     out = np.empty((total, keep), dtype=dtype)
-    for first in range(0, total, group):
+
+    def convolve(first: int) -> None:
         blocks = min(group, total - first)
         lo = first * keep + lag - (taps - 1)       # index in x of the group's first sample
         hi = lo + blocks * keep + taps - 1
@@ -232,6 +237,7 @@ def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
         product = forward(segments, axis=1)
         product *= spectrum
         out[first:first + blocks] = inverse(product, nfft, axis=1)[:, taps - 1:]
+    run_parallel(convolve, range(0, total, group))
     return out.reshape(-1)[:n]
 
 
@@ -318,7 +324,10 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> IfTrack:
     window goes through its two factors: one batched ``np.matvec`` over a
     strided view of the phase fits the coefficients of all windows, a
     second evaluates their derivatives, LLS_WINDOW_CHUNK windows at a
-    time, so the coefficients between the two stay block-sized.
+    time, so the coefficients between the two stay block-sized.  The
+    phase runs block by block on ``run_blocks``.  The unwrap is a running
+    sum, and ``np.matvec`` holds the interpreter lock (two threads ran the
+    chunks slower than one), so both run in this thread.
     Neither is a BLAS-3 product, which would wake (and leave spinning) a
     threaded BLAS on every call.  Beyond the output, the full-length
     array is the phase alone.
@@ -336,7 +345,13 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> IfTrack:
 
     proj, deriv, scale = _lls_design(p.degree, window)
     gain = scale * bb.fs
-    phi = np.angle(bb.samples)
+    x = bb.samples
+    phi = np.empty(total, dtype=x.real.dtype)
+
+    def phase(s: slice) -> None:
+        block = x[s]
+        np.arctan2(block.imag, block.real, out=phi[s])   # np.angle's own formula
+    run_blocks(phase, total)
     unwrap_in_place(phi)
     out = np.empty(total)
 

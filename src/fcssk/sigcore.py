@@ -10,16 +10,113 @@ Conventions used throughout the package:
   minus b0 for every completed chirp period (sawtooth wrap).  The wrap
   subtracts exactly b0 rather than resetting to zero, so any
   modulation-induced deviation survives a period boundary.
+
+``run_parallel`` is the package's one thread helper: the trials of a sweep
+run through it, and so do the per-sample stages of one long burst, split
+into blocks that each write their own slice of a preallocated output.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AliasingError, ConfigError, UndefinedPhaseError
+
+
+PARALLEL_BLOCK = 1 << 16   # samples per block of a block-split stage
+
+_SERIAL = threading.local()   # .on: run_parallel keeps its items in this thread
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def parallel_workers() -> int:
+    """Threads ``run_parallel`` may use here: one per usable CPU, or one
+    inside ``serially``, as in every item it runs on several threads."""
+    return 1 if getattr(_SERIAL, "on", False) else _usable_cpus()
+
+
+def serially(fn, *args):
+    """``fn(*args)`` with every ``run_parallel`` inside it run in this thread."""
+    outer = getattr(_SERIAL, "on", False)
+    _SERIAL.on = True
+    try:
+        return fn(*args)
+    finally:
+        _SERIAL.on = outer
+
+
+def run_parallel(fn, items) -> list:
+    """``[fn(item) for item in items]``, in item order.
+
+    Uses ``min(len(items), parallel_workers())`` threads, named
+    ``fcssk-<fn name>-<k>``, each taking the next item not yet taken,
+    while the calling thread waits; with one, the items run in the calling
+    thread and no thread starts.  Items on the threads run inside
+    ``serially``, so there is one level of parallelism.  The first failure
+    stops the items not yet started, waits for the running ones and is
+    re-raised; every thread has ended before this returns.
+    """
+    items = list(items)
+    workers = min(len(items), parallel_workers())
+    if workers <= 1:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    failures = []
+    claim = itertools.count()     # next() is atomic: every item is taken once
+
+    def work() -> None:
+        for i in claim:
+            if i >= len(items) or failures:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:   # re-raised in the calling thread
+                failures.append(exc)
+                return
+
+    name = fn.__name__.strip("_")
+    threads = [threading.Thread(target=serially, args=(work,), name=f"fcssk-{name}-{k}")
+               for k in range(1, workers + 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        for thread in threads:
+            thread.join()
+    except BaseException:          # interrupted while waiting: start no more items
+        failures.append(None)
+        for thread in threads:
+            thread.join()
+        raise
+    if failures:
+        raise failures[0]
+    return results
+
+
+def run_blocks(fn, n: int, block: int = PARALLEL_BLOCK) -> list:
+    """``run_parallel(fn, ...)`` over consecutive slices of ``range(n)``,
+    ``block`` long (the last one shorter): samples, or rows of a 2-D array."""
+    return run_parallel(fn, [slice(lo, min(lo + block, n)) for lo in range(0, n, block)])
+
+
+def first_non_finite(x: np.ndarray) -> int | None:
+    """Index of the first NaN or infinity in the 1-D array ``x``, or None;
+    checked block by block, so no full-length mask is built."""
+    def scan(s: slice) -> int | None:
+        finite = np.isfinite(x[s])
+        return None if finite.all() else s.start + int(np.argmin(finite))
+    return next((i for i in run_blocks(scan, len(x)) if i is not None), None)
 
 
 @dataclass(frozen=True)
@@ -91,12 +188,23 @@ def synthesize(freq: np.ndarray, fs: int) -> IqBuffer:
     exponentiated there, so the only full-length array built is the
     output.  The result equals ``exp(1j * (2*pi/fs) * cumsum(freq))`` bit
     for bit: that product's real part is a zero, and exp(+-0 + j*phi) is
-    the same number.
+    the same number.  The sum runs in order; the zero real part (which
+    first touches the output's pages), the scale and the exponential are
+    elementwise and run block by block on ``run_blocks``.
     """
-    out = np.zeros(len(freq), dtype=np.complex128)
+    out = np.empty(len(freq), dtype=np.complex128)
+
+    def zero_real(s: slice) -> None:
+        out.real[s] = 0.0
+    run_blocks(zero_real, len(out))
     np.cumsum(freq, out=out.imag)
-    out.imag *= 2.0 * np.pi / fs
-    np.exp(out, out=out)
+    scale = 2.0 * np.pi / fs
+
+    def scale_exp(s: slice) -> None:
+        block = out[s]
+        block.imag *= scale
+        np.exp(block, out=block)
+    run_blocks(scale_exp, len(out))
     return IqBuffer(samples=out, fs=fs)
 
 

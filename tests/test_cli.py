@@ -12,7 +12,7 @@ import pytest
 
 import fcssk
 from fcssk import (ConfigError, FileFormatError, IqBuffer, NonFiniteSampleError, SyncError,
-                   chain, sync)
+                   chain, ifest, sigcore, sync)
 from fcssk.chain import receive_chain
 from fcssk.cli import (_bits_from_args, build_parser, main, parse_csv, read_bits,
                        read_cf32, rows_to_csv, write_bits, write_cf32)
@@ -223,19 +223,20 @@ class TestReceiveChain:
         assert "\n" not in str(info.value)
 
 
-    def test_no_cpu_spent_after_a_trial(self):
-        """One sync'd trial per estimator and a sweep on the trial thread
-        pool, then a 200 ms sleep that must cost under 30 ms of CPU.  A
-        multi-threaded BLAS-3 product (matrix times matrix) in the chain
-        leaves OpenBLAS's worker threads busy-waiting for about 130 ms of
-        CPU after it returns, and a pool thread left running would spend
-        it too.  With a BLAS build that does not spin, this passes
+    def test_no_cpu_spent_after_a_trial(self, tmp_path):
+        """One sync'd trial per estimator, a sweep on the trial threads and
+        a demodulate on block threads, then a 200 ms sleep that must cost
+        under 30 ms of CPU.  A multi-threaded BLAS-3 product (matrix times
+        matrix) in the chain leaves OpenBLAS's worker threads busy-waiting
+        for about 130 ms of CPU after it returns, and a trial or block
+        thread left running would spend it too.  With a BLAS build that does not spin, this passes
         whatever the chain calls."""
         script = textwrap.dedent("""
             import os
+            import sys
             import time
             import numpy as np
-            from fcssk import apply_awgn, apply_delay, chain, cli, derive_params, encode, modulate
+            from fcssk import apply_awgn, apply_delay, cli, derive_params, encode, modulate, sigcore
             from fcssk.chain import receive_chain
             from fcssk.txmod import make_mod_params
             mp = make_mod_params(derive_params(1024.0, 4.0, 65536), "manchester", 128)
@@ -247,15 +248,20 @@ class TestReceiveChain:
                 decision = receive_chain(rx, mp, estimator, True)
                 got = decision.bits
                 assert len(got) > 250 and np.array_equal(got, bits[:len(got)]), estimator
-            chain._usable_cpus = lambda: 2        # a 2-point sweep on two pool threads
+            sigcore._usable_cpus = lambda: 2      # a 2-point sweep on two pool threads
             assert cli.main(["simulate", "--bitrate", "512", "--bits", "600",
                              "--snr-start", "10", "--snr-stop", "12", "--out", os.devnull]) == 0
+            # one long burst, its stages split into blocks on two threads
+            cli.write_cf32(sys.argv[1], rx.samples)
+            assert cli.main(["demodulate", "--in", sys.argv[1], "--out", os.devnull,
+                             "--estimator", "lls"]) == 0
             start = time.process_time()
             time.sleep(0.2)
             print(time.process_time() - start)
         """)
         src = str(Path(fcssk.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "rx.cf32")],
+                              capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
         assert float(done.stdout) < 0.030
 
@@ -326,6 +332,33 @@ class TestSimulateCommand:
         assert hashlib.sha256(data).hexdigest() == self.PINNED[code, estimator], data.decode()
 
 
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_short_remainder_joins_the_trial_before_it(self, tmp_path, man128, seed):
+        # 2100 = 2004 + 96 bits, and 96 bits are 12288 samples at 512 b/s,
+        # under one 16384-sample period: as its own trial, whether sync saw
+        # a full period depended on the random delay (seeds 2 and 4 failed)
+        mp = fcssk.txmod.make_mod_params(man128.chirp, "manchester", 512)
+        assert chain.period_bits(mp) == 128
+        assert chain.trial_sizes(2100, "manchester", 128) == [2100]
+        assert chain.trial_sizes(2100 + 128, "manchester", 128) == [2004, 224]
+        out = tmp_path / "a.csv"
+        assert run(["simulate", "--bitrate", 512, "--bits", 2100, "--seed", seed,
+                    "--snr-start", 10, "--snr-stop", 10, "--out", out]) == 0
+        assert parse_csv(out.read_text())[0]["bits"] > 2004
+
+    def test_trial_shorter_than_a_period_rejected(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        args = ["simulate", "--bitrate", 512, "--bits", 20, "--snr-start", 10,
+                "--snr-stop", 10, "--out", out]
+        assert run(args) == 1
+        assert capsys.readouterr().err == (
+            "error: a trial of 20 bits is shorter than the 128 bits of one chirp period "
+            "at 512 b/s, which sync needs; raise --bits, lower --bitrate or use --no-sync\n")
+        assert not out.exists()
+        assert run(args + ["--no-sync"]) == 0       # no sync, no period needed
+        assert parse_csv(out.read_text())[0]["bits"] == 20
+
+
 class TestTrialEngine:
     """The trials of a sweep run on one thread per usable CPU."""
 
@@ -344,7 +377,7 @@ class TestTrialEngine:
         monkeypatch.setattr(sync, "estimate_timing", spy)
         outputs = []
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(chain, "_usable_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(sigcore, "_usable_cpus", lambda cpus=cpus: cpus)
             out = tmp_path / f"cpus{cpus}.csv"
             assert run(["simulate", "--bitrate", 512, "--bits", 4608, "--seed", 4,
                         "--snr-start", -30, "--snr-stop", 20, "--snr-step", 25,
@@ -365,7 +398,7 @@ class TestTrialEngine:
             seen.append((threading.current_thread() is threading.main_thread(),
                          threading.active_count()))
             return n_bits, 0
-        monkeypatch.setattr(chain, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(chain, "_run_trial", trial)
         assert run(["simulate", "--bits", bits, "--snr-start", 0, "--snr-stop", points - 1,
                     "--snr-step", 1, "--out", tmp_path / "a.csv"]) == 0
@@ -381,7 +414,7 @@ class TestTrialEngine:
                 raise ConfigError(f"trial {trial} of point {point_index} failed")
             time.sleep(0.05)
             return n_bits, 0
-        monkeypatch.setattr(chain, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(chain, "_run_trial", trial)
         out = tmp_path / "a.csv"
         assert run(["simulate", "--bits", 3 * 2004, "--snr-start", 0, "--snr-stop", 3,
@@ -392,6 +425,88 @@ class TestTrialEngine:
         assert len(started) < 4 * 3
         assert not [t for t in threading.enumerate() if t.name.startswith("fcssk-trial")]
         assert not out.exists()
+
+    @pytest.mark.parametrize("stop,helpers", [(10, []), (12, ["fcssk-trial-1", "fcssk-trial-2"])])
+    def test_trials_start_no_block_thread(self, tmp_path, monkeypatch, stop, helpers):
+        """One trial (run inline, as the bench's set-up probe is) or two
+        trials on two threads: each stage runs in its trial's thread, where
+        run_parallel has one worker, and no block thread starts."""
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 2)
+        started, stages = [], []
+        start = threading.Thread.start
+
+        def spy_start(thread):
+            started.append((threading.current_thread().name, thread.name))
+            start(thread)
+        monkeypatch.setattr(threading.Thread, "start", spy_start)
+        downconvert = ifest.downconvert
+
+        def spy(rx, mp):
+            stages.append((threading.current_thread().name, sigcore.parallel_workers()))
+            return downconvert(rx, mp)
+        monkeypatch.setattr(ifest, "downconvert", spy)
+        assert run(["simulate", "--bitrate", 512, "--bits", 2004, "--snr-start", 10,
+                    "--snr-stop", stop, "--out", tmp_path / "a.csv"]) == 0
+        main = threading.current_thread().name
+        assert started == [(main, name) for name in helpers]
+        assert len(stages) == (stop - 10) // 2 + 1    # one trial per 2 dB point
+        assert {worker for _, worker in stages} == {1}
+        assert {name for name, _ in stages} <= set(helpers or [main])
+
+
+class TestBlockStages:
+    """The per-sample stages of one long burst run in blocks on one thread
+    per usable CPU; their output does not depend on the CPU count."""
+
+    @pytest.fixture(scope="class")
+    def burst(self, man128):
+        # over three overlap-save groups of the serial split
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2, 3 * ifest.OVERLAP_SAVE_SPAN // man128.m + 5)
+        clean = fcssk.modulate(fcssk.encode(bits, "manchester", man128.coded_bit_len), man128)
+        rx = fcssk.apply_awgn(fcssk.apply_delay(clean, 3000, man128.chirp), 5.0, rng)
+        assert len(rx) > 3 * ifest.OVERLAP_SAVE_SPAN
+        return bits, rx
+
+    def test_stages_do_not_depend_on_worker_count(self, burst, man128, monkeypatch, tmp_path):
+        bits, rx = burst
+        freq = fcssk.txmod.modulated_frequency(
+            fcssk.encode(bits, "manchester", man128.coded_bit_len), man128)
+        outputs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(sigcore, "_usable_cpus", lambda cpus=cpus: cpus)
+            bb = ifest.downconvert(rx, man128)
+            path = tmp_path / f"cpus{cpus}.cf32"
+            write_cf32(path, rx.samples)
+            outputs.append([
+                sigcore.synthesize(freq, man128.chirp.fs).samples, bb.samples,
+                ifest.dpll_track(bb, ifest.default_dpll(man128)).values,
+                ifest.lls_track(bb, ifest.LlsParams(window_len=man128.coded_bit_len)).values,
+                sync._mixed_periodogram(rx.samples, man128.chirp, 3, 20),
+                path.read_bytes()])
+        for other in outputs[1:]:
+            for want, got in zip(outputs[0], other):
+                assert bytes(want) == bytes(got)
+        formula = np.exp(1j * ((2.0 * np.pi / man128.chirp.fs) * np.cumsum(freq)))
+        assert bytes(outputs[0][0]) == bytes(formula)
+
+    def test_demodulate_bytes_do_not_depend_on_worker_count(self, burst, monkeypatch,
+                                                            tmp_path):
+        bits, rx = burst
+        source, capture = tmp_path / "in.bits", tmp_path / "rx.cf32"
+        write_bits(source, bits)
+        write_cf32(capture, rx.samples)
+        outputs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(sigcore, "_usable_cpus", lambda cpus=cpus: cpus)
+            tx, decoded = tmp_path / f"tx{cpus}.cf32", tmp_path / f"rx{cpus}.bits"
+            assert run(["modulate", "--in", source, "--out", tx]) == 0
+            assert run(["demodulate", "--in", capture, "--out", decoded,
+                        "--estimator", "lls"]) == 0
+            outputs.append((tx.read_bytes(), decoded.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        got = read_bits(decoded)
+        assert len(got) == len(bits) and np.count_nonzero(got != bits) < len(bits) // 100
 
 
 @pytest.mark.parametrize("command", ["simulate", "theory"])

@@ -1,4 +1,6 @@
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -9,8 +11,9 @@ from fcssk import (AliasingError, ConfigError, UndefinedPhaseError, IqBuffer,
                    derive_params, instantaneous_frequency, reference_chirp)
 from fcssk import sigcore
 from fcssk.codec import CodedFrame
-from fcssk.sigcore import (UNWRAP_BLOCK, periodic_reference, reference_frequency,
-                           reference_tail, synthesize, unwrap_in_place, unwrap_phase)
+from fcssk.sigcore import (PARALLEL_BLOCK, UNWRAP_BLOCK, first_non_finite, periodic_reference,
+                           reference_frequency, reference_tail, run_blocks, run_parallel,
+                           serially, synthesize, unwrap_in_place, unwrap_phase)
 from fcssk.txmod import modulated_frequency
 
 
@@ -215,3 +218,99 @@ class TestUnwrapInPlace:
         kept = phase.copy()
         unwrap_phase(phase)
         assert same_bits(phase, kept)
+
+
+def fcssk_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("fcssk-")]
+
+
+class TestRunParallel:
+    """The one thread helper: trials of a sweep and blocks of a long burst."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_results_in_item_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
+
+        def square(i):
+            time.sleep(0.001 * (i % 3))     # items finish out of order
+            return i * i
+        assert run_parallel(square, range(40)) == [i * i for i in range(40)]
+        assert not fcssk_threads()
+
+    def test_thread_count_and_names(self, monkeypatch):
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 3)
+        seen = set()
+        barrier = threading.Barrier(3, timeout=10)
+
+        def _block(i):
+            if i < 3:
+                barrier.wait()      # three items in flight at once
+            seen.add(threading.current_thread().name)
+        run_parallel(_block, range(12))
+        assert seen == {"fcssk-block-1", "fcssk-block-2", "fcssk-block-3"}
+        assert not fcssk_threads()
+
+    @pytest.mark.parametrize("cpus,items", [(1, 10), (4, 1), (4, 0)])
+    def test_one_worker_runs_in_the_calling_thread(self, monkeypatch, cpus, items):
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        names = run_parallel(lambda i: (threading.current_thread().name,
+                                        threading.active_count()), range(items))
+        assert names == [(threading.current_thread().name, before)] * items
+
+    def test_one_level_of_parallelism(self, monkeypatch):
+        # an item that calls run_parallel runs the inner items in its own
+        # thread, as does anything called through serially
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 2)
+
+        def _outer(i):
+            me = threading.current_thread().name
+            inner = run_parallel(lambda j: threading.current_thread().name, range(8))
+            return inner == [me] * 8
+        assert run_parallel(_outer, range(6)) == [True] * 6
+        here = threading.current_thread().name
+        assert serially(run_parallel, lambda j: threading.current_thread().name,
+                        range(8)) == [here] * 8
+        assert sigcore.parallel_workers() == 2    # serially restores the outer state
+
+    def test_first_failure_stops_queued_items_and_is_raised(self, monkeypatch):
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 2)
+        started = []
+
+        def _item(i):
+            started.append(i)
+            if i == 3:
+                raise ConfigError(f"item {i} failed")
+            time.sleep(0.01)
+            return i
+        with pytest.raises(ConfigError, match="^item 3 failed$"):
+            run_parallel(_item, range(50))
+        assert 3 in started and len(started) < 10
+        assert not fcssk_threads()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_run_blocks_covers_the_range(self, monkeypatch, cpus):
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
+        n = 5 * PARALLEL_BLOCK + 17
+        spans = run_blocks(lambda s: (s.start, s.stop), n)
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert len(spans) == 6 and run_blocks(lambda s: s, 0) == []
+
+
+class TestFirstNonFinite:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_index_across_blocks(self, monkeypatch, cpus, bad):
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
+        x = np.ones(4 * PARALLEL_BLOCK + 3, dtype=np.float32)
+        assert first_non_finite(x) is None
+        for first in (4 * PARALLEL_BLOCK + 2, 2 * PARALLEL_BLOCK, PARALLEL_BLOCK - 1, 0):
+            x[first] = bad       # each a new first, later ones left in place
+            assert first_non_finite(x) == first
+
+    def test_complex_and_empty(self):
+        z = np.ones(10, dtype=complex)
+        z[7] = complex(0.0, np.nan)
+        assert first_non_finite(z) == 7
+        assert first_non_finite(np.zeros(0)) is None
