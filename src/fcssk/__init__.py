@@ -9,15 +9,13 @@ performance bounds, a Monte-Carlo BER engine and its CLI.
 from .channel import apply_awgn, apply_delay, derived_rng
 from .codec import (B6B8, CODE_NAMES, MANCHESTER, CodedFrame, CodeSpec,
                     build_6b8b_codebook, decode, encode, get_code_spec)
-from .detect import Decision, decide, template_bank
+from .detect import decide, template_bank
 from .errors import (AliasingError, CodeViolationError, ConfigError, FcsskError,
-                     FileFormatError, FramingError, NonFiniteSampleError, SyncError,
-                     UndefinedPhaseError)
+                     FileFormatError, FramingError, NonFiniteSampleError, SyncError)
 from .ifest import (DpllParams, LlsParams, default_cutoff, default_dpll, default_f_nat,
                     design_lowpass, downconvert, dpll_response, dpll_track,
                     lls_track, make_dpll_params)
-from .sigcore import (ChirpParams, IfTrack, IqBuffer, derive_params,
-                      instantaneous_frequency, reference_chirp)
+from .sigcore import ChirpParams, IqBuffer, derive_params, reference_chirp
 from .sync import SyncEstimate, align, estimate_timing
 from .theory import (TheoryPoint, bit_energy, crb_variance, pe_crb,
                      q_function, snr_at_pe, theory_curve, theory_point)

@@ -17,15 +17,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import channel, codec, detect, ifest, sync, txmod
-from .errors import FcsskError, NonFiniteSampleError, SyncError
+from .errors import ConfigError, FcsskError, NonFiniteSampleError, SyncError
 from .sigcore import IqBuffer, first_non_finite, run_parallel, serially
 
 TRIAL_BITS = 2004          # per-trial burst size; divisible by 6 for 6b8b
 
 
 def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
-                  use_sync: bool) -> detect.Decision:
-    """sync -> downconvert -> IF estimation -> detection."""
+                  use_sync: bool) -> np.ndarray:
+    """sync -> downconvert -> IF estimation -> detection: the int64 info bits
+    of the capture ``rx``, which must be sampled at ``mp.chirp.fs``."""
+    if rx.fs != mp.chirp.fs:
+        raise ConfigError(f"capture is at {rx.fs} S/s, the chirp at {mp.chirp.fs} S/s")
     index = first_non_finite(rx.samples)
     if index is not None:
         raise NonFiniteSampleError(f"sample {index} is {rx.samples[index]}, "
@@ -84,11 +87,11 @@ def _run_trial(mp: txmod.ModParams, estimator: str, use_sync: bool, seed: int,
     rx = channel.apply_delay(rx, tau, mp.chirp)
     rx = channel.apply_awgn(rx, snr_db, noise_rng)
     try:
-        decision = receive_chain(rx, mp, estimator, use_sync)
+        rx_bits = receive_chain(rx, mp, estimator, use_sync)
     except SyncError:
-        decision = receive_chain(rx, mp, estimator, use_sync=False)
-    k = min(len(decision.bits), len(tx_bits))
-    return k, int(np.count_nonzero(decision.bits[:k] != tx_bits[:k]))
+        rx_bits = receive_chain(rx, mp, estimator, use_sync=False)
+    k = min(len(rx_bits), len(tx_bits))
+    return k, int(np.count_nonzero(rx_bits[:k] != tx_bits[:k]))
 
 
 def _trial(task: tuple) -> tuple[int, int]:
@@ -102,8 +105,21 @@ def simulate(mp: txmod.ModParams, estimator: str, points: list[tuple[int, float]
     ``bits`` info bits sent at each.  The point index, not its position in
     ``points``, selects the point's random streams.  The trials of all
     points run as one batch on ``run_parallel``; a remainder trial shorter
-    than one chirp period joins the trial before it."""
-    sizes = trial_sizes(bits, mp.code, period_bits(mp))
+    than one chirp period joins the trial before it.  Before any trial
+    runs, raises ConfigError for a negative seed, or for ``bits`` that
+    fill no trial or, with ``use_sync``, a trial shorter than one period."""
+    if bits < 1:
+        raise ConfigError(f"--bits must be at least 1, got {bits}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {seed}")
+    period = period_bits(mp)
+    sizes = trial_sizes(bits, mp.code, period)
+    if not sizes:
+        raise ConfigError(f"--bits {bits} is below one {mp.code} block")
+    if use_sync and min(sizes) < period:
+        raise ConfigError(f"a trial of {min(sizes)} bits is shorter than the {period} bits "
+                          f"of one chirp period at {mp.bitrate} b/s, which sync needs; "
+                          f"raise --bits, lower --bitrate or use --no-sync")
     results = run_parallel(_trial, [(mp, estimator, use_sync, seed, snr_db, index, trial, n_bits)
                                     for index, snr_db in points
                                     for trial, n_bits in enumerate(sizes)])

@@ -186,28 +186,17 @@ def cmd_modulate(args) -> int:
 
 def cmd_demodulate(args) -> int:
     mp = _mod_params_from_args(args)
-    decision = chain.receive_chain(IqBuffer(samples=read_cf32(args.infile), fs=mp.chirp.fs),
-                                   mp, args.estimator, use_sync=not args.no_sync)
-    write_bits(args.outfile, decision.bits)
+    bits = chain.receive_chain(IqBuffer(samples=read_cf32(args.infile), fs=mp.chirp.fs),
+                               mp, args.estimator, use_sync=not args.no_sync)
+    write_bits(args.outfile, bits)
     return 0
 
 
 def cmd_simulate(args) -> int:
     mp = _mod_params_from_args(args)
-    bits = _bits_from_args(args)
-    if bits < 1:
-        raise FcsskError(f"--bits must be at least 1, got {bits}")
-    period = chain.period_bits(mp)
-    sizes = chain.trial_sizes(bits, args.code, period)
-    if not sizes:
-        raise FcsskError(f"--bits {bits} is below one {args.code} block")
-    if not args.no_sync and min(sizes) < period:
-        raise FcsskError(f"a trial of {min(sizes)} bits is shorter than the {period} bits "
-                         f"of one chirp period at {mp.bitrate} b/s, which sync needs; "
-                         f"raise --bits, lower --bitrate or use --no-sync")
     grid = snr_grid(args)
-    totals = chain.simulate(mp, args.estimator, list(enumerate(grid)), bits, args.seed,
-                            use_sync=not args.no_sync)
+    totals = chain.simulate(mp, args.estimator, list(enumerate(grid)), _bits_from_args(args),
+                            args.seed, use_sync=not args.no_sync)
     rows = [(snr_db, mp.code, mp.bitrate, args.estimator, scored, errors,
              errors / scored if scored else 0.0)
             for snr_db, (scored, errors) in zip(grid, totals)]

@@ -1,12 +1,14 @@
-"""Decision stage: max-correlation detection over a codeword template bank.
+"""Detection stage: max-correlation detection over a codeword template bank.
 
 Estimated-IF segments of p info bits are correlated against the ideal
 deviation templates of all 2**p codewords, generated by the modulator
 itself, so any change to the wire format propagates automatically.
-Templates are energy-normalized, making the max-correlation rule coincide
-with the minimum-squared-error detector even though codeword deviation
-shapes differ in energy.  Manchester's two templates are exact negatives,
-so its rule reduces to the sign of the triangle correlation.
+The rule picks the codeword whose energy-normalized template has the
+largest correlation with the segment.  That is the minimum-distance
+decision only when all templates have equal energy, as Manchester's do;
+the 6b8b templates differ in energy, so for 6b8b it is not.  Manchester's
+two templates are exact negatives, so its rule reduces to the sign of the
+triangle correlation.
 
 Every template is a ramp ``start + slope*i`` on each coded bit, so a
 segment's correlation with it needs only the segment's two moments per
@@ -18,22 +20,13 @@ with the full bank, so no trial wakes a threaded BLAS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .codec import encode, get_code_spec, unpack_values
 from .errors import ConfigError
-from .sigcore import IfTrack
 from .txmod import ModParams, ideal_deviation_track
-
-
-@dataclass(frozen=True)
-class Decision:
-    bits: np.ndarray       # recovered info bits
-    metrics: np.ndarray    # per-symbol winning correlation over segment norm
-    tail_samples: int      # trailing samples dropped as a partial symbol
 
 
 @lru_cache(maxsize=None)
@@ -43,7 +36,7 @@ def template_bank(mp: ModParams) -> np.ndarray:
     p = get_code_spec(mp.code).p
     rows = []
     for bits in unpack_values(np.arange(1 << p), p).reshape(-1, p):
-        dev = ideal_deviation_track(encode(bits, mp.code, mp.coded_bit_len), mp).values
+        dev = ideal_deviation_track(encode(bits, mp.code, mp.coded_bit_len), mp)
         rows.append(dev / np.linalg.norm(dev))
     bank = np.asarray(rows)
     bank.flags.writeable = False  # shared by every caller
@@ -80,10 +73,12 @@ def correlations(segments: np.ndarray, mp: ModParams) -> np.ndarray:
     return np.matvec(_ramp_coefficients(mp), moments.reshape(len(segments), -1))
 
 
-def decide(track: IfTrack, mp: ModParams) -> Decision:
-    """Max-correlation codeword decision; ties go to the lowest value."""
+def decide(track: np.ndarray, mp: ModParams) -> np.ndarray:
+    """Info bits (int64) of the max-correlation codeword of each full
+    p-info-bit segment of the IF track, in Hz; ties go to the lowest value,
+    and a trailing partial segment is dropped."""
     p = get_code_spec(mp.code).p
-    values = np.asarray(track.values, dtype=np.float64)
+    values = np.asarray(track, dtype=np.float64)
     seg_len = p * mp.m  # == q * mp.coded_bit_len
     n_seg = len(values) // seg_len
     if n_seg == 0:
@@ -92,8 +87,4 @@ def decide(track: IfTrack, mp: ModParams) -> Decision:
     segments = values[:n_seg * seg_len].reshape(n_seg, seg_len)
     scores = correlations(segments, mp)            # (n_seg, 2**p)
     best = np.argmax(scores, axis=1)               # first index wins ties
-    win = scores[np.arange(n_seg), best]
-    norm = np.sqrt(np.einsum("ij,ij->i", segments, segments))   # no x**2 copy, no BLAS
-    metrics = np.divide(win, norm, out=np.zeros_like(win), where=norm > 0)
-    return Decision(bits=unpack_values(best, p), metrics=metrics,
-                    tail_samples=len(values) - n_seg * seg_len)
+    return unpack_values(best, p)

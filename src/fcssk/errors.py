@@ -25,10 +25,6 @@ class CodeViolationError(FcsskError, ValueError):
         self.block_index = block_index
 
 
-class UndefinedPhaseError(FcsskError, ValueError):
-    """A zero-magnitude sample has no defined phase."""
-
-
 class NonFiniteSampleError(FcsskError, ValueError):
     """A sample buffer holds NaN or infinity."""
 

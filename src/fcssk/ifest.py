@@ -28,8 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .sigcore import (IfTrack, IqBuffer, parallel_workers, periodic_reference, run_blocks,
-                      run_parallel, unwrap_in_place)
+from .sigcore import (IqBuffer, parallel_workers, periodic_reference, run_blocks, run_parallel,
+                      unwrap_in_place)
 from .txmod import ModParams, peak_deviation
 
 LOWPASS_SPAN_S = 128 / 65536  # lowpass length, s: 128 sample intervals at 65536 S/s
@@ -241,8 +241,10 @@ def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
     return out.reshape(-1)[:n]
 
 
-def dpll_track(bb: IqBuffer, p: DpllParams) -> IfTrack:
-    """Track the IF of ``bb`` with the second-order loop.
+def dpll_track(bb: IqBuffer, p: DpllParams) -> np.ndarray:
+    """Track the IF of ``bb`` with the second-order loop: one float64 value
+    in Hz per sample, value i being the IF of the transition that ends at
+    sample i.
 
     The loop, per sample n: phase error e = angle(bb[n] * exp(-j*phi)),
     wrapped to [-pi, pi); v = C1 * sum(e[:n]) + C2 * e[n]; phi advances
@@ -281,7 +283,7 @@ def dpll_track(bb: IqBuffer, p: DpllParams) -> IfTrack:
     err *= p.c2           # err becomes v, in place
     err[1:] += integral
     err *= bb.fs / TWO_PI
-    return IfTrack(values=err, fs=bb.fs, offset=0)
+    return err
 
 
 def dpll_response(p: DpllParams, freq_hz: float) -> complex:
@@ -311,8 +313,9 @@ def _lls_design(degree: int, window_len: int) -> tuple[np.ndarray, np.ndarray, f
     return proj, deriv, 1.0 / (2.0 * np.pi * half_span)
 
 
-def lls_track(bb: IqBuffer, p: LlsParams) -> IfTrack:
-    """Sliding-window polynomial-phase IF estimate.
+def lls_track(bb: IqBuffer, p: LlsParams) -> np.ndarray:
+    """Sliding-window polynomial-phase IF estimate: one float64 value in Hz
+    per sample, value i being the IF of the transition that ends at sample i.
 
     The phase of ``bb`` is taken once and unwrapped in place; each
     window of ``window_len`` samples is fitted with a degree-``degree``
@@ -366,4 +369,4 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> IfTrack:
         start_f = total - window
         out[stop:] = np.matvec(deriv[stop - start_f:], np.matvec(proj, phi[start_f:]))
     out *= gain
-    return IfTrack(values=out, fs=bb.fs, offset=0)
+    return out

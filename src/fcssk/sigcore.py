@@ -1,4 +1,4 @@
-"""Chirp configuration, complex-signal containers and reference synthesis.
+"""Chirp configuration, the complex-sample container and reference synthesis.
 
 Conventions used throughout the package:
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, ConfigError, UndefinedPhaseError
+from .errors import AliasingError, ConfigError
 
 
 PARALLEL_BLOCK = 1 << 16   # samples per block of a block-split stage
@@ -142,28 +142,14 @@ class IqBuffer:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class IfTrack:
-    """Instantaneous-frequency sequence in Hz.
-
-    ``values[i]`` is the IF of the transition ending at absolute sample
-    ``offset + i`` of the stream the track was computed from.
-    """
-
-    values: np.ndarray
-    fs: int
-    offset: int = 0
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def derive_params(b0: float, rep_rate: float, fs: int, strict: bool = False) -> ChirpParams:
     """Build ChirpParams, validating divisibility and aliasing constraints.
 
     With ``strict`` on, additionally enforce the homing-signal envelope
     (2 <= rep_rate <= 4 repetitions/s, b0 >= 700 Hz).
     """
+    if not (np.isfinite(b0) and np.isfinite(rep_rate)):
+        raise ConfigError(f"b0 and rep_rate must be finite numbers, got {b0} and {rep_rate}")
     if b0 <= 0 or rep_rate <= 0 or fs <= 0:
         raise ConfigError("b0, rep_rate and fs must be positive")
     if b0 >= fs / 2:
@@ -303,27 +289,3 @@ def unwrap_in_place(phase: np.ndarray) -> None:
         np.cumsum(offsets, out=offsets)
         offset = float(offsets[-1])
         block += np.repeat(offsets, np.diff(wraps, prepend=0, append=len(block)))
-
-
-def unwrap_phase(phase: np.ndarray) -> np.ndarray:
-    """``np.unwrap(phase)``, bit for bit, for a finite 1-D float64 array
-    (see ``unwrap_in_place``)."""
-    out = np.array(phase, dtype=np.float64)
-    unwrap_in_place(out)
-    return out
-
-
-def instantaneous_frequency(buf: IqBuffer) -> IfTrack:
-    """IF estimate from unwrapped phase differences, in Hz.
-
-    Returns len(buf)-1 values; values[i] is the IF of the transition from
-    sample i to i+1 (offset=1).  Exact for noiseless phase-continuous
-    signals whose per-sample phase steps stay below pi.
-    """
-    s = buf.samples
-    if len(s) < 2:
-        raise ConfigError("need at least 2 samples")
-    if np.any(s == 0):
-        raise UndefinedPhaseError("zero-magnitude sample has undefined phase")
-    dphi = np.diff(unwrap_phase(np.angle(s)))
-    return IfTrack(values=dphi * (buf.fs / (2.0 * np.pi)), fs=buf.fs, offset=1)

@@ -54,8 +54,6 @@ SLIP_AVG = 16
 @dataclass(frozen=True)
 class SyncEstimate:
     tau_hat: int        # samples
-    delta_f1: float     # Hz, beat consistent with tau_hat
-    delta_f2: float     # Hz, complementary beat (delta_f1 + delta_f2 = b0)
     confidence: float   # rejected/chosen candidate spread ratio (>= 1 is good)
 
 
@@ -114,7 +112,7 @@ def _measure_slips(rx: np.ndarray, params: ChirpParams, t0: int, guard: int) -> 
 
     All boundaries are measured at once, one row of a strided view per
     boundary window.  Each window's phase is unwrapped only where it is
-    read: ``unwrap_phase``'s correction runs at the wrap steps, its
+    read: ``np.unwrap``'s correction runs at the wrap steps, its
     running sum per row is looked up at the four probe spans, and the
     result equals unwrapping every window in full, bit for bit.
     """
@@ -199,10 +197,8 @@ def estimate_timing(rx: IqBuffer, params: ChirpParams) -> SyncEstimate:
         tau = t0 + _measure_slips(x, params, t0, guard)
     tau_hat = int(round(tau)) % n
 
-    delta_f1 = params.k0 * tau_hat
     confidence = float(rejected / chosen) if chosen > 0 and np.isfinite(rejected) else 1.0
-    return SyncEstimate(tau_hat=tau_hat, delta_f1=delta_f1,
-                        delta_f2=params.b0 - delta_f1, confidence=confidence)
+    return SyncEstimate(tau_hat=tau_hat, confidence=confidence)
 
 
 def align(rx: IqBuffer, est: SyncEstimate | int) -> IqBuffer:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .codec import CodedFrame, get_code_spec
 from .errors import ConfigError
-from .sigcore import ChirpParams, IfTrack, IqBuffer, synthesize
+from .sigcore import ChirpParams, IqBuffer, synthesize
 
 
 @dataclass(frozen=True)
@@ -80,19 +80,19 @@ def modulate(frame: CodedFrame, mp: ModParams) -> IqBuffer:
     return synthesize(modulated_frequency(frame, mp), mp.chirp.fs)
 
 
-def ideal_deviation_track(frame: CodedFrame, mp: ModParams) -> IfTrack:
-    """Noiseless baseband IF deviation f_tx - f_ref, one value per sample.
+def ideal_deviation_track(frame: CodedFrame, mp: ModParams) -> np.ndarray:
+    """Noiseless baseband IF deviation f_tx - f_ref in Hz, one float64 value
+    per sample.
 
-    values[i] is the deviation accumulated through sample i (offset=1), so
-    a Manchester info bit traces a triangle peaking at +-k0*M/2 that
-    returns to exactly 0 on its last sample, and every full 6b8b codeword
-    ends at exactly 0.  Equals instantaneous_frequency(modulate(frame)) -
-    instantaneous_frequency(reference) on the overlap.
+    Value i is the deviation accumulated through sample i, so a Manchester
+    info bit traces a triangle peaking at +-k0*M/2 that returns to exactly
+    0 on its last sample, and every full 6b8b codeword ends at exactly 0.
+    It equals the IF of the transition from sample i to i+1 of
+    modulate(frame) minus that of the reference chirp.
     """
     _check_frame(frame, mp)
     kap = _slope_per_sample(frame, mp)
-    dev = np.cumsum(kap - mp.chirp.k0)
-    return IfTrack(values=dev, fs=mp.chirp.fs, offset=1)
+    return np.cumsum(kap - mp.chirp.k0)
 
 
 def peak_deviation(mp: ModParams) -> float:

@@ -55,7 +55,7 @@ def test_criterion_02_bandwidth_invariant(chirp):
     rng = np.random.default_rng(21)
     man = make_mod_params(chirp, "manchester", 128)
     bits = rng.integers(0, 2, 32 * 1000)  # 32 info bits per chirp period
-    dev = ideal_deviation_track(encode(bits, "manchester", man.coded_bit_len), man).values
+    dev = ideal_deviation_track(encode(bits, "manchester", man.coded_bit_len), man)
     n = chirp.n
     boundary_dev = dev[n - 1::n]
     # sweep over period j = b0 + dev[end_j] - dev[end_{j-1}]
@@ -64,7 +64,7 @@ def test_criterion_02_bandwidth_invariant(chirp):
 
     b68 = make_mod_params(chirp, "6b8b", 128)
     bits = rng.integers(0, 2, 6 * 1000)
-    dev = ideal_deviation_track(encode(bits, "6b8b", b68.coded_bit_len), b68).values
+    dev = ideal_deviation_track(encode(bits, "6b8b", b68.coded_bit_len), b68)
     cw = 8 * b68.coded_bit_len
     ends = dev[cw - 1::cw]
     b68_ok = bool(np.max(np.abs(ends)) <= 1e-9)
@@ -198,7 +198,7 @@ def test_criterion_08_dpll_loop_checks(chirp):
     for f_mod in (f_nat / 4, f_nat, 4 * f_nat):
         phi = beta * np.sin(2 * np.pi * f_mod * t / fs)
         track = dpll_track(IqBuffer(np.exp(1j * phi), fs), p)
-        steady = track.values[n // 2:]
+        steady = track[n // 2:]
         ref = np.exp(-2j * np.pi * f_mod * t[n // 2:] / fs)
         amp = 2.0 * abs(np.mean(steady * ref))
         got = amp * 2.0 * math.pi / (beta * fs)
@@ -222,7 +222,7 @@ def test_criterion_09_lls_exactness(chirp):
     worst = 0.0
     for degree in (2, 5):
         track = lls_track(buf, LlsParams(degree=degree, window_len=256))
-        worst = max(worst, float(np.max(np.abs(track.values - expected) / expected)))
+        worst = max(worst, float(np.max(np.abs(track - expected) / expected)))
     report(9, f"worst relative IF error {worst:.2e}", worst <= 1e-6)
 
 

@@ -223,6 +223,17 @@ class TestReceiveChain:
         assert "\n" not in str(info.value)
 
 
+    @pytest.mark.parametrize("fs", [32768, 48000])
+    @pytest.mark.parametrize("estimator", ["dpll", "lls"])
+    def test_capture_at_another_rate_rejected(self, man128, rng, fs, estimator):
+        # at the wrong rate the lowpass and the reference disagree, yet this
+        # noiseless burst still decodes, so no later stage would notice
+        bits = rng.integers(0, 2, 300)
+        rx = fcssk.modulate(fcssk.encode(bits, "manchester", man128.coded_bit_len), man128)
+        assert np.array_equal(receive_chain(rx, man128, estimator, False), bits)
+        with pytest.raises(ConfigError, match=f"^capture is at {fs} S/s, the chirp at 65536 S/s$"):
+            receive_chain(IqBuffer(rx.samples, fs), man128, estimator, False)
+
     def test_no_cpu_spent_after_a_trial(self, tmp_path):
         """One sync'd trial per estimator, a sweep on the trial threads and
         a demodulate on block threads, then a 200 ms sleep that must cost
@@ -245,8 +256,7 @@ class TestReceiveChain:
             clean = modulate(encode(bits, "manchester", mp.coded_bit_len), mp)
             rx = apply_awgn(apply_delay(clean, 5000, mp.chirp), 10.0, rng)
             for estimator in ("dpll", "lls"):
-                decision = receive_chain(rx, mp, estimator, True)
-                got = decision.bits
+                got = receive_chain(rx, mp, estimator, True)
                 assert len(got) > 250 and np.array_equal(got, bits[:len(got)]), estimator
             sigcore._usable_cpus = lambda: 2      # a 2-point sweep on two pool threads
             assert cli.main(["simulate", "--bitrate", "512", "--bits", "600",
@@ -345,6 +355,29 @@ class TestSimulateCommand:
         assert run(["simulate", "--bitrate", 512, "--bits", 2100, "--seed", seed,
                     "--snr-start", 10, "--snr-stop", 10, "--out", out]) == 0
         assert parse_csv(out.read_text())[0]["bits"] > 2004
+
+    def test_negative_seed_rejected(self, tmp_path, capsys, monkeypatch):
+        trials = []
+        monkeypatch.setattr(chain, "_run_trial", lambda *task: trials.append(task))
+        out = tmp_path / "a.csv"
+        assert run(["simulate", "--quick", "--seed", -1, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+        assert not out.exists() and not trials
+
+    @pytest.mark.parametrize("code,bits,seed,use_sync,message", [
+        ("manchester", 0, 1, True, "--bits must be at least 1, got 0"),
+        ("6b8b", 5, 1, False, "--bits 5 is below one 6b8b block"),
+        ("manchester", 1, 1, True, "a trial of 1 bits is shorter than the 32 bits of one "
+                                   "chirp period at 128 b/s"),
+        ("manchester", 600, -1, False, "--seed must be at least 0, got -1")])
+    def test_library_request_checked_before_any_trial(self, chirp, monkeypatch, code, bits,
+                                                      seed, use_sync, message):
+        trials = []
+        monkeypatch.setattr(chain, "_run_trial", lambda *task: trials.append(task))
+        mp = fcssk.txmod.make_mod_params(chirp, code, 128)
+        with pytest.raises(ConfigError) as info:
+            chain.simulate(mp, "dpll", [(0, 10.0)], bits, seed, use_sync=use_sync)
+        assert str(info.value).startswith(message) and not trials
 
     def test_trial_shorter_than_a_period_rejected(self, tmp_path, capsys):
         out = tmp_path / "a.csv"
@@ -480,8 +513,8 @@ class TestBlockStages:
             write_cf32(path, rx.samples)
             outputs.append([
                 sigcore.synthesize(freq, man128.chirp.fs).samples, bb.samples,
-                ifest.dpll_track(bb, ifest.default_dpll(man128)).values,
-                ifest.lls_track(bb, ifest.LlsParams(window_len=man128.coded_bit_len)).values,
+                ifest.dpll_track(bb, ifest.default_dpll(man128)),
+                ifest.lls_track(bb, ifest.LlsParams(window_len=man128.coded_bit_len)),
                 sync._mixed_periodogram(rx.samples, man128.chirp, 3, 20),
                 path.read_bytes()])
         for other in outputs[1:]:
@@ -530,6 +563,22 @@ def test_snr_grid_stops_at_stop(tmp_path, start, stop, step, first, last, count)
                 "--out", out]) == 0
     snrs = [r["snr_db"] for r in parse_csv(out.read_text())]
     assert (snrs[0], snrs[-1], len(snrs)) == (first, pytest.approx(last), count)
+
+
+class TestChirpOptions:
+    @pytest.mark.parametrize("command,option", [("theory", "--b0"), ("modulate", "--b0"),
+                                                ("simulate", "--b0"), ("theory", "--rep-rate")])
+    def test_nan_rejected(self, tmp_path, capsys, command, option):
+        out = tmp_path / "out"
+        args = [command, option, "nan", "--quick", "--out", out]
+        if command == "modulate":
+            (tmp_path / "in.txt").write_text("01" * 16)
+            args += ["--in", tmp_path / "in.txt"]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite numbers" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestTheoryCommand:

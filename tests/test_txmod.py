@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fcssk import (ConfigError, encode, instantaneous_frequency, modulate,
-                   ideal_deviation_track, reference_chirp)
+from fcssk import ConfigError, encode, ideal_deviation_track, modulate, reference_chirp
 from fcssk.codec import CodedFrame
 from fcssk.txmod import make_mod_params, modulated_frequency, peak_deviation
+from if_reference import instantaneous_frequency
 
 
 class TestModParams:
@@ -78,23 +78,23 @@ class TestSawtooth:
 class TestIdealDeviation:
     def test_triangle_peak_and_null(self, man128):
         dev = ideal_deviation_track(encode([1], "manchester", man128.coded_bit_len),
-                                    man128).values
+                                    man128)
         assert dev[255] == pytest.approx(16.0, abs=1e-9)   # peak k0*M/2 at M/2
         assert int(np.argmax(dev)) == 255
         assert abs(dev[-1]) < 1e-9                          # null at the bit end
 
     def test_zero_bit_mirrored(self, man128):
         dev1 = ideal_deviation_track(encode([1], "manchester", man128.coded_bit_len),
-                                     man128).values
+                                     man128)
         dev0 = ideal_deviation_track(encode([0], "manchester", man128.coded_bit_len),
-                                     man128).values
+                                     man128)
         np.testing.assert_allclose(dev0, -dev1, atol=1e-12)
         assert dev0[255] == pytest.approx(-16.0, abs=1e-9)
 
     def test_6b8b_codeword_nulls(self, b6b8_128, rng):
         bits = rng.integers(0, 2, 6 * 10)
         dev = ideal_deviation_track(encode(bits, "6b8b", b6b8_128.coded_bit_len),
-                                    b6b8_128).values
+                                    b6b8_128)
         cw_len = 8 * b6b8_128.coded_bit_len
         for k in range(10):
             assert abs(dev[(k + 1) * cw_len - 1]) < 1e-9
@@ -105,9 +105,9 @@ class TestIdealDeviation:
         sig = modulate(frame, man128)
         ref = reference_chirp(man128.chirp, 1)
         n = len(sig)
-        if_sig = instantaneous_frequency(sig).values
-        if_ref = instantaneous_frequency(ref).values[:n - 1]
-        dev = ideal_deviation_track(frame, man128).values
+        if_sig = instantaneous_frequency(sig)
+        if_ref = instantaneous_frequency(ref)[:n - 1]
+        dev = ideal_deviation_track(frame, man128)
         np.testing.assert_allclose(if_sig - if_ref, dev[:n - 1], atol=1e-6)
 
     def test_boundary_straddling_6b8b_sweep_bound(self, b6b8_128, rng):
