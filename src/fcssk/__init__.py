@@ -17,8 +17,8 @@ from .ifest import (DpllParams, LlsParams, default_cutoff, default_dpll, default
                     lls_track, make_dpll_params)
 from .sigcore import ChirpParams, IqBuffer, derive_params, reference_chirp
 from .sync import SyncEstimate, align, estimate_timing
-from .theory import (TheoryPoint, bit_energy, crb_variance, pe_crb,
-                     q_function, snr_at_pe, theory_curve, theory_point)
+from .theory import (bit_energy, crb_variance, pe_crb, q_function, snr_at_pe,
+                     theory_curve)
 from .txmod import (ModParams, ideal_deviation_track, make_mod_params,
                     modulate, peak_deviation)
 

@@ -17,16 +17,24 @@ from __future__ import annotations
 import numpy as np
 
 from . import channel, codec, detect, ifest, sync, txmod
-from .errors import ConfigError, FcsskError, NonFiniteSampleError, SyncError
+from .errors import ConfigError, NonFiniteSampleError, SyncError
 from .sigcore import IqBuffer, first_non_finite, run_parallel, serially
 
 TRIAL_BITS = 2004          # per-trial burst size; divisible by 6 for 6b8b
+ESTIMATORS = ("dpll", "lls")
+
+
+def _check_estimator(estimator: str) -> None:
+    if estimator not in ESTIMATORS:
+        raise ConfigError(f"unknown estimator {estimator!r}, use {' or '.join(ESTIMATORS)}")
 
 
 def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
                   use_sync: bool) -> np.ndarray:
     """sync -> downconvert -> IF estimation -> detection: the int64 info bits
-    of the capture ``rx``, which must be sampled at ``mp.chirp.fs``."""
+    of the capture ``rx``, which must be sampled at ``mp.chirp.fs``, with
+    ``estimator`` one of ESTIMATORS."""
+    _check_estimator(estimator)
     if rx.fs != mp.chirp.fs:
         raise ConfigError(f"capture is at {rx.fs} S/s, the chirp at {mp.chirp.fs} S/s")
     index = first_non_finite(rx.samples)
@@ -34,7 +42,7 @@ def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
         raise NonFiniteSampleError(f"sample {index} is {rx.samples[index]}, "
                                    f"not a finite number", index=index)
     if use_sync:
-        rx = sync.align(rx, sync.estimate_timing(rx, mp.chirp))
+        rx = sync.align(rx, sync.estimate_timing(rx, mp.chirp).tau_hat)
     bb = ifest.downconvert(rx, mp)
     # If the caller passed rx inline (as cmd_demodulate does), this frame
     # holds the last reference: CPython 3.11 moves call arguments into the
@@ -42,10 +50,8 @@ def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
     del rx
     if estimator == "dpll":
         track = ifest.dpll_track(bb, ifest.default_dpll(mp))
-    elif estimator == "lls":
-        track = ifest.lls_track(bb, ifest.LlsParams(window_len=mp.coded_bit_len))
     else:
-        raise FcsskError(f"unknown estimator {estimator!r}")
+        track = ifest.lls_track(bb, ifest.LlsParams(window_len=mp.coded_bit_len))
     return detect.decide(track, mp)
 
 
@@ -106,8 +112,10 @@ def simulate(mp: txmod.ModParams, estimator: str, points: list[tuple[int, float]
     ``points``, selects the point's random streams.  The trials of all
     points run as one batch on ``run_parallel``; a remainder trial shorter
     than one chirp period joins the trial before it.  Before any trial
-    runs, raises ConfigError for a negative seed, or for ``bits`` that
-    fill no trial or, with ``use_sync``, a trial shorter than one period."""
+    runs, raises ConfigError for an estimator not in ESTIMATORS, a negative
+    seed, or ``bits`` that fill no trial or, with ``use_sync``, a trial
+    shorter than one period."""
+    _check_estimator(estimator)
     if bits < 1:
         raise ConfigError(f"--bits must be at least 1, got {bits}")
     if seed < 0:

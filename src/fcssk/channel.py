@@ -28,8 +28,9 @@ def derived_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
-def apply_awgn(buf: IqBuffer, snr_db: float | None, seed_or_rng) -> IqBuffer:
-    """Add circularly symmetric complex Gaussian noise at the given SNR.
+def apply_awgn(buf: IqBuffer, snr_db: float | None, rng: np.random.Generator) -> IqBuffer:
+    """Add circularly symmetric complex Gaussian noise at the given SNR,
+    drawn from ``rng`` (``derived_rng(seed, STREAM_NOISE)`` for a seed).
 
     SNR is signal power (unit amplitude) over *total* complex noise power:
     sigma^2 = 10^(-snr_db/10), split sigma^2/2 per quadrature.
@@ -45,8 +46,6 @@ def apply_awgn(buf: IqBuffer, snr_db: float | None, seed_or_rng) -> IqBuffer:
         return buf
     if not np.isfinite(snr_db):
         raise ConfigError(f"SNR must be a finite number of dB or +inf, got {snr_db}")
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
-        else derived_rng(seed_or_rng, STREAM_NOISE)
     sigma2 = 10.0 ** (-float(snr_db) / 10.0)
     scale = np.sqrt(sigma2 / 2.0)
     n = len(buf.samples)

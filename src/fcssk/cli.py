@@ -104,14 +104,20 @@ def snr_grid(args) -> list[float]:
         raise FcsskError("snr step must be positive")
     if args.snr_stop < args.snr_start:
         raise FcsskError("snr stop must be >= start")
+    # at the end of largest |SNR|, a finer step than the CSV prints repeats rows
+    end, neighbour = max((args.snr_start, args.snr_start + args.snr_step),
+                         (args.snr_stop, args.snr_stop - args.snr_step), key=lambda e: abs(e[0]))
+    if _num(end) == _num(neighbour):
+        raise FcsskError(f"--snr-step {args.snr_step:g} is below the CSV's 6-digit resolution "
+                         f"at {_num(end)} dB, where two grid points would print the same")
     # the epsilon keeps a stop that the steps reach exactly (up to rounding)
     count = math.floor((args.snr_stop - args.snr_start) / args.snr_step + 1e-9) + 1
     return [args.snr_start + i * args.snr_step for i in range(count)]
 
 
 def theory_rows(mp: txmod.ModParams, grid: list[float]) -> list[tuple]:
-    return [(p.snr_db, p.code, p.bitrate, "crb", 0, 0, p.pe)
-            for p in theory.theory_curve(mp, grid)]
+    return [(snr_db, mp.code, mp.bitrate, "crb", 0, 0, pe)
+            for snr_db, pe in zip(grid, theory.theory_curve(mp, grid))]
 
 
 # ------------------------------------------------------------- CSV handling
@@ -223,47 +229,54 @@ def cmd_plot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--code", choices=list(codec.CODE_NAMES), default=codec.MANCHESTER)
-    common.add_argument("--bitrate", type=int, default=128, help="info bits/s")
-    common.add_argument("--b0", type=float, default=1024.0, help="chirp bandwidth, Hz")
-    common.add_argument("--rep-rate", type=float, default=4.0, help="chirp repetitions/s")
-    common.add_argument("--fs", type=int, default=65536, help="sampling rate")
-    common.add_argument("--estimator", choices=("dpll", "lls"), default="dpll")
-    common.add_argument("--snr-start", type=float, default=-30.0)
-    common.add_argument("--snr-stop", type=float, default=30.0)
-    common.add_argument("--snr-step", type=float, default=2.0)
-    common.add_argument("--bits", type=int, default=None,
-                        help=f"info bits per SNR point (default {DEFAULT_BITS}), "
-                             f"sent in trials of {TRIAL_BITS} and a remainder")
-    common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--no-sync", action="store_true")
-    common.add_argument("--with-theory", action="store_true")
-    common.add_argument("--strict-spec", action="store_true",
+    # each command takes the option groups it reads; modulate also takes the
+    # receiver's, so one option list names both ends of a link
+    signal = argparse.ArgumentParser(add_help=False)
+    signal.add_argument("--code", choices=list(codec.CODE_NAMES), default=codec.MANCHESTER)
+    signal.add_argument("--bitrate", type=int, default=128, help="info bits/s")
+    signal.add_argument("--b0", type=float, default=1024.0, help="chirp bandwidth, Hz")
+    signal.add_argument("--rep-rate", type=float, default=4.0, help="chirp repetitions/s")
+    signal.add_argument("--fs", type=int, default=65536, help="sampling rate")
+    signal.add_argument("--strict-spec", action="store_true",
                         help="enforce the homing-signal envelope constraints")
-    common.add_argument("--quick", action="store_true",
-                        help=f"use {QUICK_BITS} bits/point unless --bits given")
+    receiver = argparse.ArgumentParser(add_help=False)
+    receiver.add_argument("--estimator", choices=chain.ESTIMATORS, default="dpll")
+    receiver.add_argument("--no-sync", action="store_true")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--snr-start", type=float, default=-30.0)
+    grid.add_argument("--snr-stop", type=float, default=30.0)
+    grid.add_argument("--snr-step", type=float, default=2.0)
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--bits", type=int, default=None,
+                       help=f"info bits per SNR point (default {DEFAULT_BITS}), "
+                            f"sent in trials of {TRIAL_BITS} and a remainder")
+    sweep.add_argument("--seed", type=int, default=1)
+    sweep.add_argument("--with-theory", action="store_true")
+    sweep.add_argument("--quick", action="store_true",
+                       help=f"use {QUICK_BITS} bits/point unless --bits given")
 
     parser = argparse.ArgumentParser(prog="fcssk",
                                      description="Fractional chirp-slope-shift-keying modem "
                                                  "and Monte-Carlo BER harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("modulate", parents=[common], help="bits file -> cf32 IQ file")
+    p = sub.add_parser("modulate", parents=[signal, receiver], help="bits file -> cf32 IQ file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_modulate)
 
-    p = sub.add_parser("demodulate", parents=[common], help="cf32 IQ file -> bits file")
+    p = sub.add_parser("demodulate", parents=[signal, receiver],
+                       help="cf32 IQ file -> bits file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_demodulate)
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte-Carlo BER sweep -> CSV")
+    p = sub.add_parser("simulate", parents=[signal, receiver, grid, sweep],
+                       help="Monte-Carlo BER sweep -> CSV")
     p.add_argument("--out", dest="outfile", default="-")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("theory", parents=[common], help="CRB reference curve -> CSV")
+    p = sub.add_parser("theory", parents=[signal, grid], help="CRB reference curve -> CSV")
     p.add_argument("--out", dest="outfile", default="-")
     p.set_defaults(func=cmd_theory)
 

@@ -44,8 +44,6 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class DpllParams:
-    zeta: float    # damping factor
-    f_nat: float   # loop natural frequency, Hz
     fs: int
     c1: float      # integral-path gain
     c2: float      # proportional-path gain
@@ -69,7 +67,7 @@ def make_dpll_params(fs: int, f_nat: float, zeta: float = 1.0 / math.sqrt(2.0)) 
     w0 = 2.0 * math.pi * f_nat
     c2 = 2.0 * zeta * w0 / fs
     c1 = c2 * c2 / (4.0 * zeta * zeta)
-    return DpllParams(zeta=float(zeta), f_nat=float(f_nat), fs=int(fs), c1=c1, c2=c2)
+    return DpllParams(fs=int(fs), c1=c1, c2=c2)
 
 
 def default_f_nat(mp: ModParams) -> float:
@@ -90,9 +88,9 @@ def default_dpll(mp: ModParams) -> DpllParams:
     p = make_dpll_params(mp.chirp.fs, default_f_nat(mp))
     lag = 2.0 * math.pi * mp.chirp.k0 / (mp.chirp.fs * p.c1)
     if lag > MAX_SLOPE_LAG:
-        raise ConfigError(f"DPLL (f_nat {p.f_nat:g} Hz) lags the chirp slope by {lag:.2f} rad, "
-                          f"over {MAX_SLOPE_LAG:.2f}; lower b0 or rep_rate, raise the "
-                          f"bitrate, or use the lls estimator")
+        raise ConfigError(f"DPLL (f_nat {default_f_nat(mp):g} Hz) lags the chirp slope by "
+                          f"{lag:.2f} rad, over {MAX_SLOPE_LAG:.2f}; lower b0 or rep_rate, "
+                          f"raise the bitrate, or use the lls estimator")
     return p
 
 

@@ -128,7 +128,6 @@ class ChirpParams:
     fs: int          # sampling rate, samples/s
     n: int           # samples per chirp repetition
     k0: float        # nominal slope, Hz per sample
-    t0: float        # chirp period, s
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def derive_params(b0: float, rep_rate: float, fs: int, strict: bool = False) -> 
         if b0 < 700.0:
             raise ConfigError(f"strict mode: b0 must be >= 700 Hz, got {b0}")
     return ChirpParams(b0=float(b0), rep_rate=float(rep_rate), fs=int(fs),
-                       n=n, k0=float(b0) / n, t0=1.0 / float(rep_rate))
+                       n=n, k0=float(b0) / n)
 
 
 def synthesize(freq: np.ndarray, fs: int) -> IqBuffer:

@@ -201,9 +201,9 @@ def estimate_timing(rx: IqBuffer, params: ChirpParams) -> SyncEstimate:
     return SyncEstimate(tau_hat=tau_hat, confidence=confidence)
 
 
-def align(rx: IqBuffer, est: SyncEstimate | int) -> IqBuffer:
-    """Drop the estimated offset so coded-bit boundaries start at sample 0."""
-    tau = est.tau_hat if isinstance(est, SyncEstimate) else int(est)
+def align(rx: IqBuffer, tau: int) -> IqBuffer:
+    """Drop the estimated offset ``tau`` (an estimate's ``tau_hat``) so
+    coded-bit boundaries start at sample 0."""
     if tau < 0 or tau > len(rx.samples):
         raise ConfigError(f"tau_hat {tau} outside [0, {len(rx.samples)}]")
     return IqBuffer(samples=rx.samples[tau:], fs=rx.fs)

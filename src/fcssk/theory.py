@@ -4,22 +4,10 @@ deviation energy, and the resulting ideal-estimator BER curves."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .codec import get_code_spec
 from .errors import ConfigError
 from .txmod import ModParams
-
-
-@dataclass(frozen=True)
-class TheoryPoint:
-    snr_db: float
-    code: str
-    bitrate: int
-    n_obs: int      # observation window: the coded-bit duration, samples
-    var_f: float    # CRB of the IF estimate, Hz^2
-    e_b: float      # per-bit deviation energy, sample-domain units
-    pe: float       # ideal-estimator bit error probability
 
 
 def q_function(x: float) -> float:
@@ -59,20 +47,15 @@ def pe_crb(e_b: float, var_f: float) -> float:
     return q_function(math.sqrt(2.0 * e_b / var_f))
 
 
-def theory_point(mp: ModParams, snr_db: float) -> TheoryPoint:
-    """CRB point over the fair-comparison window, one coded bit (M*p/q)."""
-    n_obs = mp.coded_bit_len
-    var_f = crb_variance(10.0 ** (snr_db / 10.0), n_obs, mp.chirp.fs)
-    e_b = bit_energy(mp)
-    return TheoryPoint(snr_db=float(snr_db), code=mp.code, bitrate=mp.bitrate,
-                       n_obs=n_obs, var_f=var_f, e_b=e_b, pe=pe_crb(e_b, var_f))
-
-
-def theory_curve(mp: ModParams, snr_grid_db) -> list[TheoryPoint]:
+def theory_curve(mp: ModParams, snr_grid_db) -> list[float]:
+    """Ideal-estimator BER at each SNR (dB) of the grid, the CRB taken over
+    the fair-comparison window, one coded bit (M*p/q samples)."""
     grid = list(snr_grid_db)
     if not grid:
         raise ConfigError("snr grid must be nonempty")
-    return [theory_point(mp, snr) for snr in grid]
+    e_b = bit_energy(mp)
+    return [pe_crb(e_b, crb_variance(10.0 ** (snr / 10.0), mp.coded_bit_len, mp.chirp.fs))
+            for snr in grid]
 
 
 def snr_at_pe(mp: ModParams, target_pe: float) -> float:
@@ -83,7 +66,7 @@ def snr_at_pe(mp: ModParams, target_pe: float) -> float:
     lo, hi = -60.0, 60.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if theory_point(mp, mid).pe > target_pe:
+        if theory_curve(mp, [mid])[0] > target_pe:
             lo = mid
         else:
             hi = mid

@@ -10,26 +10,28 @@ from if_reference import instantaneous_frequency
 class TestAwgn:
     def test_noiseless_sentinel(self, chirp, rng):
         buf = IqBuffer(np.exp(1j * rng.uniform(0, 2 * np.pi, 1000)), chirp.fs)
-        assert np.array_equal(apply_awgn(buf, None, 1).samples, buf.samples)
-        assert np.array_equal(apply_awgn(buf, np.inf, 1).samples, buf.samples)
+        assert np.array_equal(apply_awgn(buf, None, derived_rng(1, STREAM_NOISE)).samples,
+                              buf.samples)
+        assert np.array_equal(apply_awgn(buf, np.inf, derived_rng(1, STREAM_NOISE)).samples,
+                              buf.samples)
 
     def test_variance_at_0db(self, chirp):
         # statistical oracle: at 0 dB total noise variance is 1.0 +- 1%
         buf = IqBuffer(np.ones(10 ** 6, dtype=complex), chirp.fs)
-        noisy = apply_awgn(buf, 0.0, 1234)
+        noisy = apply_awgn(buf, 0.0, derived_rng(1234, STREAM_NOISE))
         noise = noisy.samples - buf.samples
         assert np.var(noise) == pytest.approx(1.0, rel=0.01)
 
     def test_zero_mean(self, chirp):
         buf = IqBuffer(np.zeros(10 ** 6, dtype=complex), chirp.fs)
-        noise = apply_awgn(buf, 0.0, 99).samples
+        noise = apply_awgn(buf, 0.0, derived_rng(99, STREAM_NOISE)).samples
         bound = 5.0 / np.sqrt(10 ** 6)
         assert abs(noise.mean().real) < bound
         assert abs(noise.mean().imag) < bound
 
     def test_snr_scaling(self, chirp):
         buf = IqBuffer(np.zeros(10 ** 6, dtype=complex), chirp.fs)
-        v_hi = np.var(apply_awgn(buf, 10.0, 5).samples)
+        v_hi = np.var(apply_awgn(buf, 10.0, derived_rng(5, STREAM_NOISE)).samples)
         assert v_hi == pytest.approx(0.1, rel=0.01)
 
     @staticmethod
@@ -47,7 +49,7 @@ class TestAwgn:
     def test_chunked_draw_is_one_draw(self, chirp, n, use_generator):
         buf = IqBuffer(np.exp(1j * np.random.default_rng(n).uniform(-4.0, 4.0, n)), chirp.fs)
         def source():
-            return np.random.default_rng(321) if use_generator else 321
+            return np.random.default_rng(321) if use_generator else derived_rng(321, STREAM_NOISE)
         got = apply_awgn(buf, -3.5, source()).samples
         want = self.one_draw(buf, -3.5, source())
         assert got.dtype == want.dtype == np.complex128
@@ -57,12 +59,12 @@ class TestAwgn:
     def test_non_finite_snr_rejected(self, chirp, snr_db):
         buf = IqBuffer(np.ones(16, dtype=complex), chirp.fs)
         with pytest.raises(ConfigError, match="finite"):
-            apply_awgn(buf, snr_db, 1)
+            apply_awgn(buf, snr_db, derived_rng(1, STREAM_NOISE))
 
     def test_deterministic(self, chirp):
         buf = IqBuffer(np.ones(4096, dtype=complex), chirp.fs)
-        a = apply_awgn(buf, 3.0, 777).samples
-        b = apply_awgn(buf, 3.0, 777).samples
+        a = apply_awgn(buf, 3.0, derived_rng(777, STREAM_NOISE)).samples
+        b = apply_awgn(buf, 3.0, derived_rng(777, STREAM_NOISE)).samples
         assert np.array_equal(a, b)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import fcssk
 from fcssk import (ConfigError, FileFormatError, IqBuffer, NonFiniteSampleError, SyncError,
-                   chain, ifest, sigcore, sync)
+                   chain, ifest, sigcore, sync, txmod)
 from fcssk.chain import receive_chain
 from fcssk.cli import (_bits_from_args, build_parser, main, parse_csv, read_bits,
                        read_cf32, rows_to_csv, write_bits, write_cf32)
@@ -221,6 +222,18 @@ class TestReceiveChain:
             receive_chain(IqBuffer(samples, man128.chirp.fs), man128, "dpll", use_sync)
         assert info.value.index == 100
         assert "\n" not in str(info.value)
+
+    def test_unknown_estimator_refused_before_any_work(self, man128, monkeypatch):
+        calls = []
+        for module, name in ((txmod, "modulate"), (sync, "estimate_timing"),
+                             (ifest, "downconvert")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        rx = IqBuffer(np.ones(3 * man128.chirp.n, dtype=complex), man128.chirp.fs)
+        with pytest.raises(ConfigError, match="^unknown estimator 'pll', use dpll or lls$"):
+            chain.simulate(man128, "pll", [(0, 10.0)], 2004, 1)
+        with pytest.raises(ConfigError, match="^unknown estimator 'pll', use dpll or lls$"):
+            receive_chain(rx, man128, "pll", True)
+        assert calls == []
 
 
     @pytest.mark.parametrize("fs", [32768, 48000])
@@ -548,7 +561,8 @@ class TestBlockStages:
                                           ("--snr-stop", "inf"), ("--snr-step", "inf")])
 def test_non_finite_snr_named(tmp_path, capsys, command, option, value):
     out = tmp_path / "a.csv"
-    assert run([command, "--quick", f"{option}={value}", "--out", out]) == 1
+    quick = ["--quick"] if command == "simulate" else []
+    assert run([command, *quick, f"{option}={value}", "--out", out]) == 1
     assert capsys.readouterr().err == \
         f"error: {option} must be a finite number, got {float(value)}\n"
     assert not out.exists()
@@ -565,12 +579,61 @@ def test_snr_grid_stops_at_stop(tmp_path, start, stop, step, first, last, count)
     assert (snrs[0], snrs[-1], len(snrs)) == (first, pytest.approx(last), count)
 
 
+@pytest.mark.parametrize("command", ["simulate", "theory"])
+def test_snr_step_below_csv_resolution_refused(tmp_path, capsys, command):
+    out = tmp_path / "a.csv"
+    assert run([command, "--snr-step", "1e-9", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --snr-step 1e-09 is below the CSV's 6-digit resolution at -30 dB")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+SIGNAL = {"--code", "--bitrate", "--b0", "--rep-rate", "--fs", "--strict-spec"}
+RECEIVER = {"--estimator", "--no-sync"}
+GRID = {"--snr-start", "--snr-stop", "--snr-step"}
+SWEEP = {"--bits", "--seed", "--with-theory", "--quick"}
+
+
+class TestOptions:
+    """Each command accepts the options it reads and refuses the rest."""
+
+    # modulate takes the receiver options too: one option list names both ends of a link
+    OPTIONS = {"modulate": SIGNAL | RECEIVER | {"--in", "--out"},
+               "demodulate": SIGNAL | RECEIVER | {"--in", "--out"},
+               "simulate": SIGNAL | RECEIVER | GRID | SWEEP | {"--out"},
+               "theory": SIGNAL | GRID | {"--out"},
+               "plot": {"--out"}}
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_option_sets(self, command):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {o for a in sub.choices[command]._actions for o in a.option_strings}
+        assert accepted - {"-h", "--help"} == self.OPTIONS[command]
+
+    @pytest.mark.parametrize("command,unread", [("modulate", ["--seed", "1"]),
+                                                ("demodulate", ["--snr-start", "0"]),
+                                                ("theory", ["--estimator", "lls"])])
+    def test_unread_option_exits_2(self, tmp_path, capsys, command, unread):
+        out = tmp_path / "out"
+        args = [command, *unread, "--out", out]
+        if command != "theory":
+            args += ["--in", tmp_path / "in"]
+        with pytest.raises(SystemExit) as info:
+            run(args)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestChirpOptions:
     @pytest.mark.parametrize("command,option", [("theory", "--b0"), ("modulate", "--b0"),
                                                 ("simulate", "--b0"), ("theory", "--rep-rate")])
     def test_nan_rejected(self, tmp_path, capsys, command, option):
         out = tmp_path / "out"
-        args = [command, option, "nan", "--quick", "--out", out]
+        args = [command, option, "nan", "--out", out]
+        if command == "simulate":
+            args.append("--quick")
         if command == "modulate":
             (tmp_path / "in.txt").write_text("01" * 16)
             args += ["--in", tmp_path / "in.txt"]
@@ -582,6 +645,22 @@ class TestChirpOptions:
 
 
 class TestTheoryCommand:
+    # sha256 of each CSV on the default grid, recorded while theory_curve
+    # still returned one record per point
+    PINNED = {
+        ("manchester", 128): "5ffe443c9fe1974e0a3e331898794ab4ace9d508a9dbb2485f1336a8419a845a",
+        ("manchester", 512): "04a34ee8a96359a29319bdb55b4901bcc9940f058e8adc40d47a5bb88764145a",
+        ("6b8b", 128): "d26a2cfd17c94cb289ddaee27fb7a2fd4b51f2a4f006f8d6aac45778539df106",
+        ("6b8b", 512): "f5e9e7b6f770337300bbfdb15c2279321b1c6a6d54f09ca1c3bef109673110cd",
+    }
+
+    @pytest.mark.parametrize("code,bitrate", sorted(PINNED))
+    def test_theory_bytes_pinned(self, tmp_path, code, bitrate):
+        out = tmp_path / "t.csv"
+        assert run(["theory", "--code", code, "--bitrate", bitrate, "--out", out]) == 0
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.PINNED[code, bitrate], data.decode()
+
     def test_monotone_series(self, tmp_path):
         out = tmp_path / "t.csv"
         assert run(["theory", "--code", "manchester", "--bitrate", 128,

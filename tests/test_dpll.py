@@ -86,6 +86,6 @@ def test_single_sample(chirp, sample):
 
 
 def test_unstable_gains_rejected(chirp):
-    p = DpllParams(zeta=10.0, f_nat=1000.0, fs=chirp.fs, c1=0.02, c2=2.5)
+    p = DpllParams(fs=chirp.fs, c1=0.02, c2=2.5)
     with pytest.raises(ConfigError, match="unstable"):
         dpll_track(IqBuffer(np.ones(16, dtype=complex), chirp.fs), p)

@@ -27,7 +27,6 @@ class TestDeriveParams:
         p = derive_params(1024.0, 4.0, 65536)
         assert p.n == 16384
         assert p.k0 == 0.0625
-        assert p.t0 == 0.25
         assert p.k0 * p.n == p.b0
 
     def test_non_integer_period_rejected(self):

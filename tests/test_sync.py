@@ -64,13 +64,13 @@ class TestAlign:
     def test_identity(self, chirp):
         ref = reference_chirp(chirp, 1)
         est = estimate_timing(reference_chirp(chirp, 2), chirp)
-        assert np.array_equal(align(ref, est).samples, ref.samples)
+        assert np.array_equal(align(ref, est.tau_hat).samples, ref.samples)
 
     def test_drops_offset(self, chirp):
         ref = reference_chirp(chirp, 2)
         rx = apply_delay(ref, 1024, chirp)
         est = estimate_timing(rx, chirp)
-        aligned = align(rx, est)
+        aligned = align(rx, est.tau_hat)
         residual = len(rx) - est.tau_hat
         assert len(aligned) == residual
         # residual offset against ground truth is within 2 samples

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fcssk import (ConfigError, bit_energy, crb_variance, make_mod_params, pe_crb,
-                   q_function, snr_at_pe, theory_curve, theory_point)
+                   q_function, snr_at_pe, theory_curve)
 
 
 @pytest.fixture()
@@ -30,8 +30,10 @@ class TestCrbVariance:
     def test_observation_windows(self, mod):
         # the fair-comparison window is one coded bit: M/2 or 3M/4
         m = 65536 // 128
-        assert theory_point(mod("manchester", 128), 0.0).n_obs == m // 2
-        assert theory_point(mod("6b8b", 128), 0.0).n_obs == 3 * m // 4
+        for code, n_obs in (("manchester", m // 2), ("6b8b", 3 * m // 4)):
+            mp = mod(code, 128)
+            want = pe_crb(bit_energy(mp), crb_variance(1.0, n_obs, 65536))
+            assert theory_curve(mp, [0.0]) == [want]
 
     def test_rejects_degenerate(self):
         with pytest.raises(ConfigError):
@@ -75,9 +77,9 @@ class TestPeCrb:
 
 class TestTheoryCurve:
     def test_single_point_matches_pe_crb(self, mod):
-        point = theory_curve(mod("manchester", 128), [0.0])[0]
-        assert point.pe == pe_crb(point.e_b, point.var_f)
-        assert point.n_obs == 256
+        mp = mod("manchester", 128)
+        pe = theory_curve(mp, [0.0])[0]
+        assert pe == pe_crb(bit_energy(mp), crb_variance(1.0, 256, 65536))
 
     def test_bitrate_shift_at_1e_minus_3(self, mod):
         # forced by the CRB and energy formulas: 10*log10(4 * (N1(N1^2-1))/(N2(N2^2-1)))
@@ -91,7 +93,7 @@ class TestTheoryCurve:
 
     def test_monotone_in_snr(self, mod):
         grid = list(range(-30, 32, 2))
-        pes = [p.pe for p in theory_curve(mod("6b8b", 256), grid)]
+        pes = theory_curve(mod("6b8b", 256), grid)
         assert all(a >= b for a, b in zip(pes, pes[1:]))
 
     def test_empty_grid_rejected(self, mod):
