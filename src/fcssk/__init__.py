@@ -8,10 +8,10 @@ performance bounds, a Monte-Carlo BER engine and its CLI.
 
 from .channel import apply_awgn, apply_delay, derived_rng
 from .codec import (B6B8, CODE_NAMES, MANCHESTER, CodedFrame, CodeSpec,
-                    build_6b8b_codebook, decode, encode, get_code_spec)
+                    build_6b8b_codebook, encode, get_code_spec)
 from .detect import decide, template_bank
-from .errors import (AliasingError, CodeViolationError, ConfigError, FcsskError,
-                     FileFormatError, FramingError, NonFiniteSampleError, SyncError)
+from .errors import (AliasingError, ConfigError, FcsskError, FileFormatError,
+                     FramingError, NonFiniteSampleError, SyncError)
 from .ifest import (DpllParams, LlsParams, default_cutoff, default_dpll, default_f_nat,
                     design_lowpass, downconvert, dpll_response, dpll_track,
                     lls_track, make_dpll_params)

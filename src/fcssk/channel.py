@@ -28,13 +28,22 @@ def derived_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
+def db_to_linear(db: float) -> float:
+    """Power ratio 10^(db/10); ConfigError naming ``db`` where it overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{db:g} dB overflows a float as a power ratio") from None
+
+
 def apply_awgn(buf: IqBuffer, snr_db: float | None, rng: np.random.Generator) -> IqBuffer:
     """Add circularly symmetric complex Gaussian noise at the given SNR,
     drawn from ``rng`` (``derived_rng(seed, STREAM_NOISE)`` for a seed).
 
     SNR is signal power (unit amplitude) over *total* complex noise power:
     sigma^2 = 10^(-snr_db/10), split sigma^2/2 per quadrature.
-    ``snr_db=None`` (or +inf) means noiseless passthrough; NaN and -inf
+    ``snr_db=None`` (or +inf) means noiseless passthrough; NaN, -inf and
+    an SNR whose noise power overflows a float (below about -3083 dB)
     raise ConfigError.
 
     All of I is drawn, then all of Q, each in AWGN_CHUNK-sample pieces
@@ -46,7 +55,7 @@ def apply_awgn(buf: IqBuffer, snr_db: float | None, rng: np.random.Generator) ->
         return buf
     if not np.isfinite(snr_db):
         raise ConfigError(f"SNR must be a finite number of dB or +inf, got {snr_db}")
-    sigma2 = 10.0 ** (-float(snr_db) / 10.0)
+    sigma2 = db_to_linear(-float(snr_db))
     scale = np.sqrt(sigma2 / 2.0)
     n = len(buf.samples)
     noise = np.empty(n, dtype=np.complex128)

@@ -201,13 +201,13 @@ def cmd_demodulate(args) -> int:
 def cmd_simulate(args) -> int:
     mp = _mod_params_from_args(args)
     grid = snr_grid(args)
+    # theory first, so a grid it refuses fails before any trial runs
+    rows = theory_rows(mp, grid) if args.with_theory else []
     totals = chain.simulate(mp, args.estimator, list(enumerate(grid)), _bits_from_args(args),
                             args.seed, use_sync=not args.no_sync)
-    rows = [(snr_db, mp.code, mp.bitrate, args.estimator, scored, errors,
-             errors / scored if scored else 0.0)
-            for snr_db, (scored, errors) in zip(grid, totals)]
-    if args.with_theory:
-        rows.extend(theory_rows(mp, grid))
+    rows.extend((snr_db, mp.code, mp.bitrate, args.estimator, scored, errors,
+                 errors / scored if scored else 0.0)
+                for snr_db, (scored, errors) in zip(grid, totals))
     _write_text(args.outfile, rows_to_csv(rows))
     return 0
 
@@ -284,12 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("csvs", nargs="+")
     p.add_argument("--out", dest="outfile", default="plot.svg")
     p.set_defaults(func=cmd_plot)
+    for p in sub.choices.values():
+        p.set_defaults(command_parser=p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:  # the command's own parser, so its usage and error lines name it
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
     except FcsskError as exc:

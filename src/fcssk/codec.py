@@ -1,8 +1,9 @@
-"""Constant-weight line codes: Manchester (1b2b, w=1) and 6b8b (w=4).
+"""Constant-weight line codes: Manchester (1b2b, weight 1) and 6b8b (weight 4).
 
 Both codes map every input block to a codeword of Hamming weight q/2, so
 any weight-balanced stretch of coded bits sweeps exactly the nominal chirp
-bandwidth when modulated.
+bandwidth when modulated.  A code is its codebook: the receiver decides
+info bits through the codeword bank (``fcssk.detect``), not by decoding.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CodeViolationError, ConfigError, FramingError
+from .errors import ConfigError, FramingError
 
 MANCHESTER = "manchester"
 B6B8 = "6b8b"
@@ -20,10 +21,8 @@ B6B8 = "6b8b"
 
 @dataclass(frozen=True)
 class CodeSpec:
-    name: str
     p: int  # info bits per codeword
-    q: int  # coded bits per codeword
-    w: int  # Hamming weight of every codeword
+    q: int  # coded bits per codeword; every codeword has weight q/2
     codebook: tuple[tuple[int, ...], ...]  # value -> codeword bits, MSB-first values
 
 
@@ -32,9 +31,6 @@ class CodedFrame:
     bits: np.ndarray      # coded bits, 0/1
     code: str
     coded_bit_len: int    # samples per coded bit; 0 when not yet bound to a rate
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
 
 def _boundary_run_sum(word: tuple[int, ...]) -> int:
@@ -66,11 +62,11 @@ def build_6b8b_codebook() -> CodeSpec:
     excluded = set(ranked[:6])
     kept = tuple(w for w in words if w not in excluded)
     assert len(kept) == 64
-    return CodeSpec(name=B6B8, p=6, q=8, w=4, codebook=kept)
+    return CodeSpec(p=6, q=8, codebook=kept)
 
 
 CODE_SPECS = {
-    MANCHESTER: CodeSpec(name=MANCHESTER, p=1, q=2, w=1, codebook=((0, 1), (1, 0))),
+    MANCHESTER: CodeSpec(p=1, q=2, codebook=((0, 1), (1, 0))),
     B6B8: build_6b8b_codebook(),
 }
 CODE_NAMES = tuple(CODE_SPECS)
@@ -100,36 +96,12 @@ def unpack_values(values: np.ndarray, width: int) -> np.ndarray:
     return ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.int64).ravel()
 
 
-def _block_encode(info_bits, spec: CodeSpec, coded_bit_len: int) -> CodedFrame:
-    u = _as_bits(info_bits)
-    if len(u) % spec.p:
-        raise FramingError(f"{spec.name}: input length {len(u)} not a multiple of {spec.p}")
-    table = np.asarray(spec.codebook, dtype=np.int64)
-    return CodedFrame(bits=table[pack_values(u, spec.p)].ravel(), code=spec.name,
-                      coded_bit_len=coded_bit_len)
-
-
 def encode(info_bits, code: str, coded_bit_len: int = 0) -> CodedFrame:
     """Map each p-bit block (MSB-first value) to its codeword."""
-    return _block_encode(info_bits, get_code_spec(code), coded_bit_len)
-
-
-def decode(coded_bits, code: str) -> np.ndarray:
-    """Hard-decision inverse of encode, by a 2**q lookup table.
-
-    Raises FramingError unless the length is a multiple of q, and
-    CodeViolationError (with the index of the first bad block) on any word
-    outside the codebook, e.g. the Manchester pairs (0,0) and (1,1).
-    """
     spec = get_code_spec(code)
-    x = _as_bits(coded_bits)
-    if len(x) % spec.q:
-        raise FramingError(f"{spec.name}: coded length {len(x)} not a multiple of {spec.q}")
-    table = np.full(1 << spec.q, -1, dtype=np.int64)  # word value -> info value
-    table[pack_values(np.asarray(spec.codebook), spec.q)] = np.arange(len(spec.codebook))
-    values = table[pack_values(x, spec.q)]
-    bad = np.flatnonzero(values < 0)
-    if bad.size:
-        raise CodeViolationError(f"block {bad[0]} is not a {spec.name} codeword",
-                                 block_index=int(bad[0]))
-    return unpack_values(values, spec.p)
+    u = _as_bits(info_bits)
+    if len(u) % spec.p:
+        raise FramingError(f"{code}: input length {len(u)} not a multiple of {spec.p}")
+    table = np.asarray(spec.codebook, dtype=np.int64)
+    return CodedFrame(bits=table[pack_values(u, spec.p)].ravel(), code=code,
+                      coded_bit_len=coded_bit_len)

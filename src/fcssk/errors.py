@@ -17,14 +17,6 @@ class FramingError(FcsskError, ValueError):
     """Bit stream length does not fit the codec's block structure."""
 
 
-class CodeViolationError(FcsskError, ValueError):
-    """A received block is not a valid codeword."""
-
-    def __init__(self, message: str, block_index: int):
-        super().__init__(message)
-        self.block_index = block_index
-
-
 class NonFiniteSampleError(FcsskError, ValueError):
     """A sample buffer holds NaN or infinity."""
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+from .channel import db_to_linear
 from .codec import get_code_spec
 from .errors import ConfigError
 from .txmod import ModParams
@@ -54,7 +55,7 @@ def theory_curve(mp: ModParams, snr_grid_db) -> list[float]:
     if not grid:
         raise ConfigError("snr grid must be nonempty")
     e_b = bit_energy(mp)
-    return [pe_crb(e_b, crb_variance(10.0 ** (snr / 10.0), mp.coded_bit_len, mp.chirp.fs))
+    return [pe_crb(e_b, crb_variance(db_to_linear(snr), mp.coded_bit_len, mp.chirp.fs))
             for snr in grid]
 
 

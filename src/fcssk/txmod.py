@@ -1,9 +1,9 @@
 """Fractional-slope modulator: coded bits -> chirped complex baseband.
 
-Coded bit values select the per-sample slope (kappa0 = 0 for a 0,
-kappa1 = 2*k0 for a 1); a weight-balanced codeword therefore contributes
-exactly its share of the nominal sweep, and the accumulated IF deviation
-from the reference chirp returns to zero at every codeword boundary.
+Coded bit values select the per-sample slope (0 for a 0, 2*k0 for a 1);
+a weight-balanced codeword therefore contributes exactly its share of the
+nominal sweep, and the accumulated IF deviation from the reference chirp
+returns to zero at every codeword boundary.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ class ModParams:
     bitrate: int          # info bits/s
     m: int                # samples per info bit (fs / bitrate)
     coded_bit_len: int    # samples per coded bit (M*p/q: M/2 or 3M/4)
-    kappa0: float         # slope keyed by a coded 0, Hz/sample
-    kappa1: float         # slope keyed by a coded 1, Hz/sample
 
 
 def make_mod_params(chirp: ChirpParams, code: str, bitrate: int) -> ModParams:
@@ -38,10 +36,8 @@ def make_mod_params(chirp: ChirpParams, code: str, bitrate: int) -> ModParams:
     # occupy exactly p info-bit durations and the info rate is unchanged
     if (m * spec.p) % spec.q:
         raise ConfigError(f"coded bit length {spec.p}*M/{spec.q} not integer for M={m}")
-    coded_bit_len = m * spec.p // spec.q
     return ModParams(chirp=chirp, code=code, bitrate=int(bitrate), m=m,
-                     coded_bit_len=coded_bit_len,
-                     kappa0=0.0, kappa1=2.0 * chirp.k0)
+                     coded_bit_len=m * spec.p // spec.q)
 
 
 def _check_frame(frame: CodedFrame, mp: ModParams) -> None:
@@ -52,7 +48,7 @@ def _check_frame(frame: CodedFrame, mp: ModParams) -> None:
 
 
 def _slope_per_sample(frame: CodedFrame, mp: ModParams) -> np.ndarray:
-    kappa = np.where(frame.bits == 1, mp.kappa1, mp.kappa0)
+    kappa = np.where(frame.bits == 1, 2.0 * mp.chirp.k0, 0.0)
     return np.repeat(kappa, mp.coded_bit_len)
 
 

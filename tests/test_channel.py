@@ -61,6 +61,11 @@ class TestAwgn:
         with pytest.raises(ConfigError, match="finite"):
             apply_awgn(buf, snr_db, derived_rng(1, STREAM_NOISE))
 
+    def test_overflowing_noise_power_rejected(self, chirp):
+        buf = IqBuffer(np.ones(16, dtype=complex), chirp.fs)
+        with pytest.raises(ConfigError, match=r"^4000 dB overflows a float as a power ratio$"):
+            apply_awgn(buf, -4000.0, derived_rng(1, STREAM_NOISE))
+
     def test_deterministic(self, chirp):
         buf = IqBuffer(np.ones(4096, dtype=complex), chirp.fs)
         a = apply_awgn(buf, 3.0, derived_rng(777, STREAM_NOISE)).samples

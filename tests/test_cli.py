@@ -568,6 +568,28 @@ def test_non_finite_snr_named(tmp_path, capsys, command, option, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["theory", "--snr-start", 0, "--snr-stop", 1e300, "--snr-step", 1e295],
+     "error: 1e+295 dB overflows a float as a power ratio\n"),
+    (["simulate", "--bitrate", 512, "--bits", 600, "--snr-start", -4000, "--snr-stop", -4000],
+     "error: 4000 dB overflows a float as a power ratio\n")])
+def test_overflowing_snr_named(tmp_path, capsys, args, message):
+    out = tmp_path / "a.csv"
+    assert run([*args, "--out", out]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_theory_refuses_the_grid_before_any_trial(tmp_path, capsys, monkeypatch):
+    trials = []
+    monkeypatch.setattr(chain, "_run_trial", lambda *task: trials.append(task))
+    out = tmp_path / "a.csv"
+    assert run(["simulate", "--with-theory", "--snr-start", 0, "--snr-stop", 1e300,
+                "--snr-step", 1e295, "--out", out]) == 1
+    assert capsys.readouterr().err == "error: 1e+295 dB overflows a float as a power ratio\n"
+    assert not out.exists() and not trials
+
+
 @pytest.mark.parametrize("start,stop,step,first,last,count",
                          [(0, 1, 0.6, 0, 0.6, 2), (-30, 30, 7, -30, 26, 9),
                           (-16, 20, 0.1, -16, 20, 361)])
@@ -613,16 +635,22 @@ class TestOptions:
 
     @pytest.mark.parametrize("command,unread", [("modulate", ["--seed", "1"]),
                                                 ("demodulate", ["--snr-start", "0"]),
-                                                ("theory", ["--estimator", "lls"])])
+                                                ("theory", ["--estimator", "lls"]),
+                                                ("plot", ["--bogus"])])
     def test_unread_option_exits_2(self, tmp_path, capsys, command, unread):
         out = tmp_path / "out"
         args = [command, *unread, "--out", out]
-        if command != "theory":
+        if command in ("modulate", "demodulate"):
             args += ["--in", tmp_path / "in"]
+        elif command == "plot":
+            args.append(tmp_path / "a.csv")
         with pytest.raises(SystemExit) as info:
             run(args)
         assert info.value.code == 2
-        assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: fcssk {command} ")
+        assert err.endswith(f"fcssk {command}: error: unrecognized arguments: "
+                            f"{' '.join(unread)}\n")
         assert not out.exists()
 
 

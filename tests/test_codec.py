@@ -1,10 +1,8 @@
 from itertools import combinations
 
-import numpy as np
 import pytest
 
-from fcssk import (CodeViolationError, ConfigError, FramingError, build_6b8b_codebook,
-                   decode, encode, get_code_spec)
+from fcssk import ConfigError, FramingError, build_6b8b_codebook, encode, get_code_spec
 
 
 def max_run(bits) -> int:
@@ -21,28 +19,8 @@ class TestManchester:
     def test_encode(self, info, coded):
         assert encode(info, "manchester").bits.tolist() == coded
 
-    def test_decode(self):
-        assert decode([1, 0, 0, 1], "manchester").tolist() == [1, 0]
-
-    def test_invalid_pair_flagged(self):
-        with pytest.raises(CodeViolationError) as err:
-            decode([0, 0], "manchester")
-        assert err.value.block_index == 0
-        with pytest.raises(CodeViolationError) as err:
-            decode([1, 0, 1, 1], "manchester")
-        assert err.value.block_index == 1
-
-    def test_odd_length_framing_error(self):
-        with pytest.raises(FramingError):
-            decode([1], "manchester")
-
     def test_empty(self):
         assert len(encode([], "manchester").bits) == 0
-
-    def test_round_trip_random(self, rng):
-        for _ in range(50):
-            u = rng.integers(0, 2, int(rng.integers(1, 200)))
-            assert np.array_equal(decode(encode(u, "manchester").bits, "manchester"), u)
 
     def test_run_length_never_exceeds_two(self, rng):
         coded = encode(rng.integers(0, 2, 500), "manchester").bits
@@ -52,7 +30,7 @@ class TestManchester:
 class Test6b8bCodebook:
     def test_sixty_four_distinct_weight_four_octets(self):
         spec = build_6b8b_codebook()
-        assert spec.p == 6 and spec.q == 8 and spec.w == 4
+        assert spec.p == 6 and spec.q == 8
         assert len(spec.codebook) == 64
         assert len(set(spec.codebook)) == 64
         assert all(sum(word) == 4 for word in spec.codebook)
@@ -92,32 +70,9 @@ class Test6b8bCodec:
         spec = build_6b8b_codebook()
         assert encode([0] * 6, "6b8b").bits.tolist() == list(spec.codebook[0])
 
-    def test_round_trip_all_values(self):
-        for value in range(64):
-            bits = [(value >> k) & 1 for k in range(5, -1, -1)]
-            assert decode(encode(bits, "6b8b").bits, "6b8b").tolist() == bits
-
     def test_bad_length(self):
-        with pytest.raises(FramingError):
+        with pytest.raises(FramingError, match=r"^6b8b: input length 3 not a multiple of 6$"):
             encode([1, 0, 1], "6b8b")
-        with pytest.raises(FramingError):
-            decode([0] * 7, "6b8b")
-
-    def test_weight_three_octet_rejected(self):
-        with pytest.raises(CodeViolationError) as err:
-            decode([0, 0, 0, 0, 0, 1, 1, 1], "6b8b")
-        assert err.value.block_index == 0
-
-    def test_violation_reports_offending_block(self):
-        good = encode([1, 0, 1, 1, 0, 0], "6b8b").bits.tolist()
-        with pytest.raises(CodeViolationError) as err:
-            decode(good + [1] * 8, "6b8b")
-        assert err.value.block_index == 1
-
-    def test_round_trip_random(self, rng):
-        for _ in range(20):
-            u = rng.integers(0, 2, 6 * int(rng.integers(1, 50)))
-            assert np.array_equal(decode(encode(u, "6b8b").bits, "6b8b"), u)
 
 
 def test_unknown_code_named():

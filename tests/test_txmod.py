@@ -13,9 +13,7 @@ class TestModParams:
     def test_manchester_128(self, man128):
         assert man128.m == 512
         assert man128.coded_bit_len == 256
-        assert man128.kappa0 == 0.0
-        assert man128.kappa1 == 0.125
-        assert man128.kappa0 + man128.kappa1 == 2 * man128.chirp.k0
+        assert 2 * man128.chirp.k0 == 0.125
 
     def test_6b8b_coded_bit_len(self, b6b8_128):
         assert b6b8_128.coded_bit_len == 384  # 3M/4
@@ -33,14 +31,14 @@ class TestModulate:
         np.testing.assert_allclose(np.diff(freq[:256]), 0.125, atol=1e-12)
         np.testing.assert_allclose(np.diff(freq[256:]), 0.0, atol=1e-12)
         # net sweep over the info bit is k0*M = 32 Hz
-        total_sweep = freq[-1] + man128.kappa0 - freq[0]
+        total_sweep = freq[-1] + 0.0 - freq[0]   # plus the last sample's slope, a coded 0's
         assert abs(total_sweep - 32.0) < 1e-9
 
     def test_full_period_sweeps_exactly_b0(self, man128, rng):
         bits = rng.integers(0, 2, 32)  # exactly one chirp period at 128 b/s
         frame = encode(bits, "manchester", man128.coded_bit_len)
         kappa = np.where(np.repeat(frame.bits, man128.coded_bit_len) == 1,
-                         man128.kappa1, man128.kappa0)
+                         2 * man128.chirp.k0, 0.0)
         assert abs(kappa.sum() - 1024.0) < 1e-9
 
     def test_empty_frame(self, man128):
@@ -61,7 +59,7 @@ class TestSawtooth:
     @staticmethod
     def dense_formula(frame, mp):
         """The slope sum minus b0 * (sample index // n), all at once."""
-        kap = np.where(np.repeat(frame.bits, mp.coded_bit_len) == 1, mp.kappa1, mp.kappa0)
+        kap = np.where(np.repeat(frame.bits, mp.coded_bit_len) == 1, 2 * mp.chirp.k0, 0.0)
         freq = np.concatenate(([0.0], np.cumsum(kap[:-1])))[:len(kap)]
         return freq - mp.chirp.b0 * (np.arange(len(kap)) // mp.chirp.n)
 
@@ -115,7 +113,7 @@ class TestIdealDeviation:
         bits = rng.integers(0, 2, 6 * 80)
         frame = encode(bits, "6b8b", b6b8_128.coded_bit_len)
         kappa = np.where(np.repeat(frame.bits, b6b8_128.coded_bit_len) == 1,
-                         b6b8_128.kappa1, b6b8_128.kappa0)
+                         2 * b6b8_128.chirp.k0, 0.0)
         n = b6b8_128.chirp.n
         bound = 3 * b6b8_128.m * b6b8_128.chirp.k0
         for period in range(len(kappa) // n):
