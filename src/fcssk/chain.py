@@ -43,15 +43,17 @@ def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
                                    f"not a finite number", index=index)
     if use_sync:
         rx = sync.align(rx, sync.estimate_timing(rx, mp.chirp).tau_hat)
-    bb = ifest.downconvert(rx, mp)
+    baseband = [ifest.downconvert(rx, mp)]
     # If the caller passed rx inline (as cmd_demodulate does), this frame
     # holds the last reference: CPython 3.11 moves call arguments into the
     # callee's frame, so the capture is freed here, before the estimator.
+    # The baseband is handed on the same way, popped inline, so the
+    # estimator frees it once it holds its phase.
     del rx
     if estimator == "dpll":
-        track = ifest.dpll_track(bb, ifest.default_dpll(mp))
+        track = ifest.dpll_track(baseband.pop(), ifest.default_dpll(mp))
     else:
-        track = ifest.lls_track(bb, ifest.LlsParams(window_len=mp.coded_bit_len))
+        track = ifest.lls_track(baseband.pop(), ifest.LlsParams(window_len=mp.coded_bit_len))
     return detect.decide(track, mp)
 
 

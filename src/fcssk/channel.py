@@ -9,6 +9,8 @@ cross-implementation bit-exactness is not promised, only the statistics.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -29,11 +31,16 @@ def derived_rng(seed: int, *tags: int) -> np.random.Generator:
 
 
 def db_to_linear(db: float) -> float:
-    """Power ratio 10^(db/10); ConfigError naming ``db`` where it overflows a float."""
+    """Power ratio 10^(db/10) as a Python float; ConfigError naming ``db``
+    where it overflows (a numpy ``db`` is converted first, so it raises
+    too, rather than warning and giving inf)."""
     try:
-        return 10.0 ** (db / 10.0)
+        ratio = 10.0 ** (float(db) / 10.0)
     except OverflowError:
-        raise ConfigError(f"{db:g} dB overflows a float as a power ratio") from None
+        ratio = math.inf
+    if ratio == math.inf:
+        raise ConfigError(f"{db:g} dB overflows a float as a power ratio")
+    return ratio
 
 
 def apply_awgn(buf: IqBuffer, snr_db: float | None, rng: np.random.Generator) -> IqBuffer:

@@ -34,37 +34,39 @@ QUICK_BITS = 10_000
 
 # ---------------------------------------------------------------- file I/O
 
+# the bytes a bits file may hold: '0', '1' and every byte whose character
+# str.isspace() counts as whitespace
+_BITS_BYTE_OK = np.array([chr(b) in "01" or chr(b).isspace() for b in range(256)])
+
+
 def read_bits(path: str) -> np.ndarray:
+    """The file's '0'/'1' digits as int64 bits, whitespace skipped;
+    FileFormatError naming the offset, line and column of the first
+    other byte."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    bits = []
-    line, col = 1, 0
-    for offset, byte in enumerate(data):
-        ch = chr(byte)
-        col += 1
-        if ch == "\n":
-            line += 1
-            col = 0
-            continue
-        if ch.isspace():
-            continue
-        if ch in "01":
-            bits.append(ord(ch) - ord("0"))
-        else:
-            raise FileFormatError(
-                f"{path}: invalid character {ch!r} at offset {offset} "
-                f"(line {line}, column {col}); expected '0'/'1'/whitespace",
-                offset=offset)
-    return np.array(bits, dtype=np.int64)
+        data = np.frombuffer(fh.read(), dtype=np.uint8)
+    bad = np.flatnonzero(~_BITS_BYTE_OK[data])
+    if len(bad):
+        offset = int(bad[0])
+        newlines = np.flatnonzero(data[:offset] == ord("\n"))
+        line = len(newlines) + 1
+        col = offset - (int(newlines[-1]) if len(newlines) else -1)
+        raise FileFormatError(
+            f"{path}: invalid character {chr(data[offset])!r} at offset {offset} "
+            f"(line {line}, column {col}); expected '0'/'1'/whitespace",
+            offset=offset)
+    bits = data[(data == ord("0")) | (data == ord("1"))]
+    return bits.astype(np.int64) - ord("0")
 
 
 def write_bits(path: str, bits) -> None:
-    text = "".join(str(int(b)) for b in bits)
-    with open(path, "w", newline="\n") as fh:
-        for i in range(0, max(len(text), 1), 64):
-            chunk = text[i:i + 64]
-            if chunk:
-                fh.write(chunk + "\n")
+    """The bits as ASCII digits, 64 to a line, each line LF-ended."""
+    digits = np.asarray(bits).astype(np.uint8) + ord("0")
+    index = np.arange(len(digits))
+    text = np.full(len(digits) + -(-len(digits) // 64), ord("\n"), dtype=np.uint8)
+    text[index + index // 64] = digits
+    with open(path, "wb") as fh:
+        fh.write(text.tobytes())
 
 
 def read_cf32(path: str) -> np.ndarray:

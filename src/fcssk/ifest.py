@@ -28,8 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .sigcore import (IqBuffer, parallel_workers, periodic_reference, run_blocks, run_parallel,
-                      unwrap_in_place)
+from .sigcore import (PARALLEL_BLOCK, IqBuffer, parallel_workers, periodic_reference, run_blocks,
+                      run_parallel, unwrap_in_place)
 from .txmod import ModParams, peak_deviation
 
 LOWPASS_SPAN_S = 128 / 65536  # lowpass length, s: 128 sample intervals at 65536 S/s
@@ -239,6 +239,16 @@ def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
     return out.reshape(-1)[:n]
 
 
+def _angle(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.angle(x)`` written into ``out``, block by block on
+    ``run_blocks``, by np.angle's own formula ``arctan2(imag, real)``."""
+    def angle(s: slice) -> None:
+        block = x[s]
+        np.arctan2(block.imag, block.real, out=out[s])
+    run_blocks(angle, len(x))
+    return out
+
+
 def dpll_track(bb: IqBuffer, p: DpllParams) -> np.ndarray:
     """Track the IF of ``bb`` with the second-order loop: one float64 value
     in Hz per sample, value i being the IF of the transition that ends at
@@ -256,11 +266,28 @@ def dpll_track(bb: IqBuffer, p: DpllParams) -> np.ndarray:
     slip before it looks for the next, so the result is the loop's up to
     float rounding.  ``g`` is cut where it falls below SLIP_TAIL, and each
     slip costs O(len(g)).  Samples must be finite.
+
+    Two float64 arrays are built at full length.  The phase is taken
+    into the first and turned into its wrapped increments there, block
+    by block on ``run_blocks``; ``bb`` is dropped once the phase is
+    taken, so a baseband handed over inline is freed before the loop
+    error.  The loop error is the overlap-save output, and v is built
+    in it, its integral a running ``cumsum`` carried from block to block
+    (a block that begins ``block[0] += carry`` sums to the same bits).
     """
-    n = len(bb.samples)
+    n, fs = len(bb.samples), bb.fs
     g, spectrum, nfft = _loop_kernel(p.c1, p.c2)
-    step = np.diff(np.angle(bb.samples), prepend=0.0)
-    step -= TWO_PI * np.round(step / TWO_PI)
+    step = _angle(bb.samples, np.empty(n))
+    del bb
+    before = np.zeros(-(-n // PARALLEL_BLOCK))    # the phase before each block
+    before[1:] = step[PARALLEL_BLOCK - 1:-1:PARALLEL_BLOCK]
+
+    def wrap(s: slice) -> None:
+        block = step[s]
+        increment = np.diff(block, prepend=before[s.start // PARALLEL_BLOCK])
+        increment -= TWO_PI * np.round(increment / TWO_PI)
+        block[:] = increment
+    run_blocks(wrap, n)
     err = _overlap_save(step, g, spectrum, nfft)
     del step
     pos = 0
@@ -276,11 +303,20 @@ def dpll_track(bb: IqBuffer, p: DpllParams) -> np.ndarray:
         stop = min(k + len(g), n)
         err[k:stop] -= (TWO_PI * cycles) * g[:stop - k]
         pos = k + 1
-    integral = np.cumsum(err[:-1])
-    integral *= p.c1
-    err *= p.c2           # err becomes v, in place
-    err[1:] += integral
-    err *= bb.fs / TWO_PI
+    carry = 0.0           # sum(e[:lo])
+    for lo in range(0, n, PARALLEL_BLOCK):
+        block = err[lo:lo + PARALLEL_BLOCK]       # e, becomes v in place
+        integral = block.copy()
+        if lo:
+            integral[0] += carry
+        np.cumsum(integral, out=integral)
+        block *= p.c2
+        if lo:
+            block[0] += p.c1 * carry
+        carry = float(integral[-1])
+        integral *= p.c1
+        block[1:] += integral[:-1]
+        block *= fs / TWO_PI
     return err
 
 
@@ -331,7 +367,8 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> np.ndarray:
     chunks slower than one), so both run in this thread.
     Neither is a BLAS-3 product, which would wake (and leave spinning) a
     threaded BLAS on every call.  Beyond the output, the full-length
-    array is the phase alone.
+    array is the phase alone: ``bb`` is dropped once the phase is taken,
+    so a baseband handed over inline is freed before the track.
     """
     if p.degree < 2:
         raise ConfigError("polynomial degree must be >= 2")
@@ -346,13 +383,8 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> np.ndarray:
 
     proj, deriv, scale = _lls_design(p.degree, window)
     gain = scale * bb.fs
-    x = bb.samples
-    phi = np.empty(total, dtype=x.real.dtype)
-
-    def phase(s: slice) -> None:
-        block = x[s]
-        np.arctan2(block.imag, block.real, out=phi[s])   # np.angle's own formula
-    run_blocks(phase, total)
+    phi = _angle(bb.samples, np.empty(total, dtype=bb.samples.real.dtype))
+    del bb
     unwrap_in_place(phi)
     out = np.empty(total)
 

@@ -110,11 +110,14 @@ def _measure_slips(rx: np.ndarray, params: ChirpParams, t0: int, guard: int) -> 
     symmetric second difference that cancels the modulation trend), each
     phase probe being a short local average.  Valid while |d| < G.
 
-    All boundaries are measured at once, one row of a strided view per
-    boundary window.  Each window's phase is unwrapped only where it is
-    read: ``np.unwrap``'s correction runs at the wrap steps, its
-    running sum per row is looked up at the four probe spans, and the
-    result equals unwrapping every window in full, bit for bit.
+    Each boundary window is one row of a strided view, and the rows run
+    a few at a time on ``run_blocks``; a row's slip depends on that row
+    alone, and the mean is taken over all rows at once, after them, so
+    the result does not depend on the split.  Each window's phase is
+    unwrapped only where it is read: ``np.unwrap``'s correction runs at
+    the wrap steps, its running sum per row is looked up at the four
+    probe spans, and the result equals unwrapping every window in full,
+    bit for bit.
     """
     n, fs, b0 = params.n, params.fs, params.b0
     total = len(rx) - t0
@@ -126,29 +129,34 @@ def _measure_slips(rx: np.ndarray, params: ChirpParams, t0: int, guard: int) -> 
         return 0.0
     lo = first * n - half
     hi = lo + (count - 1) * n + width
-    ref = periodic_reference(params, total)
-    seg = np.conj(sliding_window_view(ref[lo:hi], width)[::n])
-    # rx as the first operand, as in a per-window rx * conj(ref): same rounding
-    np.multiply(sliding_window_view(rx[t0 + lo:t0 + hi], width)[::n], seg, out=seg)
-    phase = np.angle(seg)
-    del seg
-    step = np.diff(phase, axis=1)
-    span = step.shape[1]
-    wraps = np.flatnonzero(np.abs(step) >= np.pi)           # row * span + step index
-    rows = wraps // span
-    row_start = np.searchsorted(wraps, np.arange(count) * span)
-    # per row: 0, then the running sum of its corrections, zero-padded
-    offsets = np.zeros((count, int(np.bincount(rows, minlength=count).max()) + 1))
-    offsets[rows, np.arange(len(wraps)) - row_start[rows] + 1] = \
-        unwrap_correction(step.ravel()[wraps])
-    np.cumsum(offsets, axis=1, out=offsets)
+    ref_windows = sliding_window_view(periodic_reference(params, hi)[lo:], width)[::n]
+    rx_windows = sliding_window_view(rx[t0 + lo:t0 + hi], width)[::n]
     centers = half + guard * np.array([-3, -1, 1, 3])
     cols = centers[:, None] + np.arange(-SLIP_AVG, SLIP_AVG + 1)   # (4, 2*SLIP_AVG+1)
-    row = np.arange(count)[:, None, None]
-    before = np.searchsorted(wraps, row * span + cols) - row_start[row]   # wraps before a probe
-    probes = phase[:, cols] + offsets[row, before]
-    far_pre, near_pre, near_post, far_post = probes.mean(axis=-1).T
-    slip = (near_post - near_pre) - 0.5 * ((near_pre - far_pre) + (far_post - near_post))
+
+    def slips(r: slice) -> np.ndarray:
+        rows = r.stop - r.start
+        seg = np.conj(ref_windows[r])
+        # rx as the first operand, as in a per-window rx * conj(ref): same rounding
+        np.multiply(rx_windows[r], seg, out=seg)
+        phase = np.angle(seg)
+        del seg
+        step = np.diff(phase, axis=1)
+        span = step.shape[1]
+        wraps = np.flatnonzero(np.abs(step) >= np.pi)           # row * span + step index
+        wrap_row = wraps // span
+        row_start = np.searchsorted(wraps, np.arange(rows) * span)
+        # per row: 0, then the running sum of its corrections, zero-padded
+        offsets = np.zeros((rows, int(np.bincount(wrap_row, minlength=rows).max()) + 1))
+        offsets[wrap_row, np.arange(len(wraps)) - row_start[wrap_row] + 1] = \
+            unwrap_correction(step.ravel()[wraps])
+        np.cumsum(offsets, axis=1, out=offsets)
+        row = np.arange(rows)[:, None, None]
+        before = np.searchsorted(wraps, row * span + cols) - row_start[row]   # wraps before a probe
+        probes = phase[:, cols] + offsets[row, before]
+        far_pre, near_pre, near_post, far_post = probes.mean(axis=-1).T
+        return (near_post - near_pre) - 0.5 * ((near_pre - far_pre) + (far_post - near_post))
+    slip = np.concatenate(run_blocks(slips, count, max(PARALLEL_BLOCK // width, 1)))
     d = float(np.mean(slip * fs / (2.0 * np.pi * b0)))
     # a pass is only valid for |d| < guard; clamp runaway noise estimates
     return float(np.clip(d, -guard, guard))
@@ -164,6 +172,10 @@ def estimate_timing(rx: IqBuffer, params: ChirpParams) -> SyncEstimate:
     n = params.n
     if len(x) < n:
         raise ConfigError(f"need at least one period ({n} samples), got {len(x)}")
+    # the stream's reference, built once at full length: the passes below,
+    # and a downconversion after them, read it from the cache, where a
+    # cache grown pass by pass is rebuilt whole at each step
+    periodic_reference(params, len(x))
     p = _mixed_periodogram(x, params, 0, min(MAX_COARSE_PERIODS, len(x) // n))
     peak_bin = int(np.argmax(p))
     floor = float(np.median(p))

@@ -50,13 +50,20 @@ def pe_crb(e_b: float, var_f: float) -> float:
 
 def theory_curve(mp: ModParams, snr_grid_db) -> list[float]:
     """Ideal-estimator BER at each SNR (dB) of the grid, the CRB taken over
-    the fair-comparison window, one coded bit (M*p/q samples)."""
+    the fair-comparison window, one coded bit (M*p/q samples).  A point
+    whose power ratio overflows or underflows a float raises ConfigError
+    naming it."""
     grid = list(snr_grid_db)
     if not grid:
         raise ConfigError("snr grid must be nonempty")
     e_b = bit_energy(mp)
-    return [pe_crb(e_b, crb_variance(db_to_linear(snr), mp.coded_bit_len, mp.chirp.fs))
-            for snr in grid]
+    curve = []
+    for snr in grid:
+        snr_linear = db_to_linear(snr)
+        if snr_linear == 0.0:
+            raise ConfigError(f"{snr:g} dB underflows a float as a power ratio")
+        curve.append(pe_crb(e_b, crb_variance(snr_linear, mp.coded_bit_len, mp.chirp.fs)))
+    return curve
 
 
 def snr_at_pe(mp: ModParams, target_pe: float) -> float:

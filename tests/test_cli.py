@@ -48,6 +48,48 @@ class TestBitsFiles:
         path.write_text("")
         assert len(read_bits(path)) == 0
 
+    @staticmethod
+    def read_per_character(path):
+        """The bits, or (offset, message) of the first bad byte, by the
+        per-character rule: '0', '1', or whatever chr(b).isspace() skips."""
+        line, col, bits = 1, 0, []
+        for offset, byte in enumerate(Path(path).read_bytes()):
+            ch = chr(byte)
+            col += 1
+            if ch == "\n":
+                line, col = line + 1, 0
+            elif ch in "01":
+                bits.append(int(ch))
+            elif not ch.isspace():
+                return offset, (f"{path}: invalid character {ch!r} at offset {offset} "
+                                f"(line {line}, column {col}); expected '0'/'1'/whitespace")
+        return bits
+
+    def test_every_byte_value_classified_per_character(self, tmp_path):
+        path = tmp_path / "bits.txt"
+        refused = 0
+        for byte in range(256):
+            path.write_bytes(b"01\n1 \x1c" + bytes([byte]) + b"\n0\t" + bytes([byte, 0x31]))
+            want = self.read_per_character(path)
+            if isinstance(want, list):
+                got = read_bits(path)
+                assert got.dtype == np.int64 and got.tolist() == want, byte
+                continue
+            refused += 1
+            with pytest.raises(FileFormatError) as err:
+                read_bits(path)
+            assert (err.value.offset, str(err.value)) == want, byte
+        assert refused == 256 - 2 - 12    # '0', '1' and 12 whitespace bytes pass
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 300])
+    def test_lines_of_64_digits(self, tmp_path, rng, n):
+        bits = rng.integers(0, 2, n)
+        text = "".join(str(int(b)) for b in bits)
+        path = tmp_path / "bits.txt"
+        write_bits(path, bits)
+        assert path.read_bytes() == "".join(text[i:i + 64] + "\n"
+                                            for i in range(0, n, 64)).encode()
+
 
 class TestCf32Files:
     def test_round_trip(self, tmp_path, rng):
@@ -180,36 +222,61 @@ class TestDemodulateCommand:
         assert ber > 0.1
 
 
-    def test_peak_memory_of_a_long_lls_capture(self, tmp_path):
-        """Demodulating 2.1 M samples allocates under 3.5 complex128 copies
-        of the capture at its peak: the cached reference and the baseband
-        (one each), the phase and the track (half each), and block-sized
-        temporaries.  The capture itself stays complex64 and is freed
-        after downconversion."""
+    @pytest.fixture(scope="class")
+    def long_capture(self, tmp_path_factory):
         mp = fcssk.txmod.make_mod_params(fcssk.derive_params(1024.0, 4.0, 65536),
                                          "manchester", 128)
         rng = np.random.default_rng(8)
         bits = rng.integers(0, 2, 4096)
         clean = fcssk.modulate(fcssk.encode(bits, "manchester", mp.coded_bit_len), mp)
         rx = fcssk.apply_awgn(fcssk.apply_delay(clean, 3000, mp.chirp), 10.0, rng)
-        capture, decoded = tmp_path / "rx.cf32", tmp_path / "rx.bits"
+        capture = tmp_path_factory.mktemp("long") / "rx.cf32"
         write_cf32(capture, rx.samples)
-        script = textwrap.dedent("""
-            import sys, tracemalloc
-            from fcssk.cli import main
-            tracemalloc.start()
-            rc = main(["demodulate", "--in", sys.argv[1], "--out", sys.argv[2],
-                       "--estimator", "lls"])
-            print(rc, tracemalloc.get_traced_memory()[1])
-        """)
-        src = str(Path(fcssk.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-c", script, str(capture), str(decoded)],
-                              capture_output=True, text=True, timeout=120, check=True,
-                              env={**os.environ, "PYTHONPATH": src})
-        rc, peak = map(int, done.stdout.split())
-        assert rc == 0 and np.array_equal(read_bits(decoded), bits)
         assert len(rx) > 2_000_000
-        assert peak < 3.5 * 16 * len(rx), peak / (16 * len(rx))
+        return capture, bits, len(rx)
+
+    @staticmethod
+    def traced_copies(long_capture, tmp_path, estimator):
+        """Fresh-process tracemalloc peak of one demodulate, in complex128
+        copies of the capture."""
+        capture, bits, n = long_capture
+        decoded = tmp_path / "rx.bits"
+        peak = traced_peak("""
+            from fcssk.cli import main
+            assert main(["demodulate", "--in", sys.argv[1], "--out", sys.argv[2],
+                         "--estimator", sys.argv[3]]) == 0
+        """, capture, decoded, estimator)
+        assert np.array_equal(read_bits(decoded), bits)
+        return peak / (16 * n)
+
+    def test_peak_memory_of_a_long_lls_capture(self, long_capture, tmp_path):
+        """Demodulating 2.1 M samples allocates under 2.8 complex128 copies
+        of the capture at its peak.  Downconversion sets it: the capture
+        (complex64, half a copy), the cached reference and the baseband
+        (one each), and block-sized temporaries.  The capture is freed
+        after downconversion and the baseband once the estimator holds
+        its phase, so the phase and the track (half a copy each) run
+        beside the reference alone."""
+        copies = self.traced_copies(long_capture, tmp_path, "lls")
+        assert copies < 2.8, copies
+
+    def test_peak_memory_of_a_long_dpll_capture(self, long_capture, tmp_path):
+        """The DPLL twin of the LLS bound: its phase increments and its
+        loop error (half a copy each) run beside the reference alone."""
+        copies = self.traced_copies(long_capture, tmp_path, "dpll")
+        assert copies < 2.8, copies
+
+
+def traced_peak(body, *args) -> int:
+    """Peak traced allocation, in bytes, of ``body`` (indented code that
+    reads ``sys.argv``) run in a fresh interpreter that has imported fcssk."""
+    script = "import sys, tracemalloc\nimport fcssk.cli\ntracemalloc.start()\n" + \
+        textwrap.dedent(body) + "print(tracemalloc.get_traced_memory()[1])\n"
+    src = str(Path(fcssk.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    return int(done.stdout)
 
 
 class TestReceiveChain:
@@ -246,6 +313,18 @@ class TestReceiveChain:
         assert np.array_equal(receive_chain(rx, man128, estimator, False), bits)
         with pytest.raises(ConfigError, match=f"^capture is at {fs} S/s, the chirp at 65536 S/s$"):
             receive_chain(IqBuffer(rx.samples, fs), man128, estimator, False)
+
+    def test_peak_memory_of_a_dpll_trial(self):
+        """One Manchester 128 b/s DPLL trial at 20 dB, in a fresh process
+        (so the cached reference is built inside it), peaks under 60 MiB:
+        the sync periodogram sets it, no longer the DPLL."""
+        peak = traced_peak("""
+            from fcssk import chain, derive_params, txmod
+            mp = txmod.make_mod_params(derive_params(1024.0, 4.0, 65536), "manchester", 128)
+            scored, errors = chain._run_trial(mp, "dpll", True, 1, 20.0, 0, 0, chain.TRIAL_BITS)
+            assert (scored, errors) == (chain.TRIAL_BITS, 0)
+        """)
+        assert peak < 60 * 2 ** 20, peak / 2 ** 20
 
     def test_no_cpu_spent_after_a_trial(self, tmp_path):
         """One sync'd trial per estimator, a sweep on the trial threads and
@@ -524,11 +603,15 @@ class TestBlockStages:
             bb = ifest.downconvert(rx, man128)
             path = tmp_path / f"cpus{cpus}.cf32"
             write_cf32(path, rx.samples)
+            estimate = sync.estimate_timing(rx, man128.chirp)
             outputs.append([
                 sigcore.synthesize(freq, man128.chirp.fs).samples, bb.samples,
                 ifest.dpll_track(bb, ifest.default_dpll(man128)),
                 ifest.lls_track(bb, ifest.LlsParams(window_len=man128.coded_bit_len)),
                 sync._mixed_periodogram(rx.samples, man128.chirp, 3, 20),
+                np.array([estimate.tau_hat, estimate.confidence]),
+                np.array([sync._measure_slips(rx.samples, man128.chirp, 2990, guard)
+                          for guard in sync.SLIP_GUARDS]),
                 path.read_bytes()])
         for other in outputs[1:]:
             for want, got in zip(outputs[0], other):
@@ -578,6 +661,16 @@ def test_overflowing_snr_named(tmp_path, capsys, args, message):
     assert run([*args, "--out", out]) == 1
     assert capsys.readouterr().err == message
     assert not out.exists()
+
+
+def test_underflowing_theory_point_named(tmp_path, capsys, monkeypatch):
+    trials = []
+    monkeypatch.setattr(chain, "_run_trial", lambda *task: trials.append(task))
+    out = tmp_path / "a.csv"
+    assert run(["simulate", "--with-theory", "--snr-start", -4000, "--snr-stop", -4000,
+                "--out", out]) == 1
+    assert capsys.readouterr().err == "error: -4000 dB underflows a float as a power ratio\n"
+    assert not out.exists() and not trials
 
 
 def test_theory_refuses_the_grid_before_any_trial(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,8 @@ import pytest
 from fcssk import (ConfigError, DpllParams, IqBuffer, apply_awgn, decide,
                    downconvert, dpll_track, encode, make_dpll_params, make_mod_params,
                    modulate)
-from fcssk.ifest import default_f_nat
+from fcssk.ifest import TWO_PI, _loop_kernel, _overlap_save, default_f_nat
+from fcssk.sigcore import PARALLEL_BLOCK
 
 TOLERANCE_HZ = 1e-5
 
@@ -68,6 +69,24 @@ def test_matches_loop_and_its_decisions(chirp, code, bitrate, snr_db):
         assert np.array_equal(ref_bits, bits)
     if (code, snr_db) == ("manchester", -16.0):
         assert slips >= 50  # the slip steps, not only the linear part, are exercised
+
+
+def test_in_place_track_is_the_whole_array_formula(chirp):
+    """Phase increments built in the phase array and the integral carried
+    from block to block give the whole-array formula's bits."""
+    bb, mp, _ = received_baseband(chirp, "manchester", 128, 8.0, seed=4)
+    p = make_dpll_params(chirp.fs, default_f_nat(mp))
+    g, spectrum, nfft = _loop_kernel(p.c1, p.c2)
+    step = np.diff(np.angle(bb.samples), prepend=0.0)
+    step -= TWO_PI * np.round(step / TWO_PI)
+    err = _overlap_save(step, g, spectrum, nfft)
+    assert np.all((err >= -math.pi) & (err < math.pi))    # no slip: the linear part alone
+    integral = np.cumsum(err[:-1]) * p.c1
+    want = err * p.c2
+    want[1:] += integral
+    want *= bb.fs / TWO_PI
+    assert len(want) > 10 * PARALLEL_BLOCK
+    assert bytes(dpll_track(bb, p)) == bytes(want)
 
 
 def test_empty_input(chirp):

@@ -91,6 +91,17 @@ class TestDpllTrack:
         assert np.array_equal(dpll_track(buf, p), dpll_track(buf, p))
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda bb: dpll_track(bb, make_dpll_params(bb.fs, 128.0)),
+    lambda bb: lls_track(bb, LlsParams(window_len=256))], ids=["dpll", "lls"])
+def test_caller_held_baseband_unchanged(chirp, estimate):
+    # an estimator drops its own reference to the baseband, never the caller's
+    bb = IqBuffer(np.exp(1j * np.random.default_rng(2).uniform(-4, 4, 150_000)), chirp.fs)
+    before = bb.samples.copy()
+    estimate(bb)
+    assert bb.samples.dtype == np.complex128 and bytes(bb.samples) == bytes(before)
+
+
 class TestLlsTrack:
     def test_constant_tone(self, chirp):
         track = lls_track(tone(100.0, 2048, chirp.fs), LlsParams(window_len=256))

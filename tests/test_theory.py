@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,3 +100,12 @@ class TestTheoryCurve:
     def test_empty_grid_rejected(self, mod):
         with pytest.raises(ConfigError):
             theory_curve(mod("manchester", 128), [])
+
+    @pytest.mark.parametrize("grid,message", [
+        ([-4000.0], "^-4000 dB underflows a float as a power ratio$"),
+        (np.array([4000.0]), "^4000 dB overflows a float as a power ratio$")])
+    def test_unrepresentable_power_ratio_named(self, mod, grid, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # refused, not warned about
+            with pytest.raises(ConfigError, match=message):
+                theory_curve(mod("manchester", 128), grid)
