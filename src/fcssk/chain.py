@@ -4,9 +4,9 @@
 one capture.  ``simulate`` sweeps SNR grid points: each point is split into
 trials of about ``TRIAL_BITS`` info bits, every trial draws its bits,
 delay and noise from its own ``(seed, point, trial)`` streams, and the
-trials of all points run on one thread per usable CPU.  Each trial runs
-serially: its block-split stages stay in its thread, so a sweep has one
-level of parallelism and the memory of one trial per thread.
+trials of all points run on one thread per usable CPU.  Like every
+``run_parallel`` item, each trial runs its block-split stages in its own
+thread, so a sweep has the memory of one trial per thread.
 
 Stages are called through their module attributes (``sync.estimate_timing``,
 ``codec.encode``, ...), so a tracer that wraps those attributes sees them.
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channel, codec, detect, ifest, sync, txmod
 from .errors import ConfigError, NonFiniteSampleError, SyncError
-from .sigcore import IqBuffer, first_non_finite, run_parallel, serially
+from .sigcore import IqBuffer, first_non_finite, run_parallel
 
 TRIAL_BITS = 2004          # per-trial burst size; divisible by 6 for 6b8b
 ESTIMATORS = ("dpll", "lls")
@@ -103,8 +103,8 @@ def _run_trial(mp: txmod.ModParams, estimator: str, use_sync: bool, seed: int,
 
 
 def _trial(task: tuple) -> tuple[int, int]:
-    """``_run_trial(*task)``, its stages kept in this thread."""
-    return serially(_run_trial, *task)
+    """``_run_trial(*task)``: the ``run_parallel`` item, on ``fcssk-trial-<k>`` threads."""
+    return _run_trial(*task)
 
 
 def simulate(mp: txmod.ModParams, estimator: str, points: list[tuple[int, float]],

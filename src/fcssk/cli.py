@@ -25,7 +25,7 @@ import numpy as np
 from . import chain, codec, theory, txmod
 from .chain import TRIAL_BITS
 from .errors import FcsskError, FileFormatError
-from .sigcore import IqBuffer, derive_params, first_non_finite, run_blocks
+from .sigcore import IqBuffer, derive_params, first_non_finite
 
 CSV_HEADER = "snr_db,code,bitrate,estimator,bits,errors,ber"
 DEFAULT_BITS = 100_000
@@ -86,12 +86,7 @@ def read_cf32(path: str) -> np.ndarray:
 
 def write_cf32(path: str, samples: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        out = np.empty(len(samples), dtype="<c8")
-
-        def narrow(s: slice) -> None:
-            out[s] = samples[s]
-        run_blocks(narrow, len(samples))
-        out.tofile(fh)
+        samples.astype("<c8").tofile(fh)
 
 
 # ---------------------------------------------------------------- SNR grid
@@ -106,14 +101,14 @@ def snr_grid(args) -> list[float]:
         raise FcsskError("snr step must be positive")
     if args.snr_stop < args.snr_start:
         raise FcsskError("snr stop must be >= start")
+    # the epsilon keeps a stop that the steps reach exactly (up to rounding)
+    count = math.floor((args.snr_stop - args.snr_start) / args.snr_step + 1e-9) + 1
     # at the end of largest |SNR|, a finer step than the CSV prints repeats rows
     end, neighbour = max((args.snr_start, args.snr_start + args.snr_step),
                          (args.snr_stop, args.snr_stop - args.snr_step), key=lambda e: abs(e[0]))
-    if _num(end) == _num(neighbour):
+    if count > 1 and _num(end) == _num(neighbour):
         raise FcsskError(f"--snr-step {args.snr_step:g} is below the CSV's 6-digit resolution "
                          f"at {_num(end)} dB, where two grid points would print the same")
-    # the epsilon keeps a stop that the steps reach exactly (up to rounding)
-    count = math.floor((args.snr_stop - args.snr_start) / args.snr_step + 1e-9) + 1
     return [args.snr_start + i * args.snr_step for i in range(count)]
 
 

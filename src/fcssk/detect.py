@@ -29,7 +29,6 @@ from .errors import ConfigError
 from .txmod import ModParams, ideal_deviation_track
 
 
-@lru_cache(maxsize=None)
 def template_bank(mp: ModParams) -> np.ndarray:
     """(2**p, p*M) matrix of energy-normalized codeword deviation templates,
     row i being the codeword of MSB-first value i."""
@@ -38,9 +37,7 @@ def template_bank(mp: ModParams) -> np.ndarray:
     for bits in unpack_values(np.arange(1 << p), p).reshape(-1, p):
         dev = ideal_deviation_track(encode(bits, mp.code, mp.coded_bit_len), mp)
         rows.append(dev / np.linalg.norm(dev))
-    bank = np.asarray(rows)
-    bank.flags.writeable = False  # shared by every caller
-    return bank
+    return np.asarray(rows)
 
 
 @lru_cache(maxsize=None)

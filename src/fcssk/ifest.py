@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -115,17 +114,6 @@ def design_lowpass(cutoff: float, fs: int) -> np.ndarray:
     return h / h.sum()
 
 
-@lru_cache(maxsize=8)
-def _lowpass_kernel(cutoff: float, fs: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """``design_lowpass(cutoff, fs)``, its complex overlap-save spectrum,
-    and the FFT size."""
-    h = design_lowpass(cutoff, fs)
-    nfft = _fft_size(len(h))
-    spectrum = np.fft.fft(h, nfft)
-    h.flags.writeable = spectrum.flags.writeable = False  # shared by every caller
-    return h, spectrum, nfft
-
-
 def downconvert(rx: IqBuffer, mp: ModParams) -> IqBuffer:
     """Mix against the local reference and lowpass the product at
     ``default_cutoff(mp)``, by overlap-save FFT convolution.
@@ -138,8 +126,9 @@ def downconvert(rx: IqBuffer, mp: ModParams) -> IqBuffer:
     sample-aligned with the input.
     """
     x = rx.samples
-    h, spectrum, nfft = _lowpass_kernel(default_cutoff(mp), rx.fs)
-    return IqBuffer(samples=_overlap_save(x, h, spectrum, nfft, lag=(len(h) - 1) // 2,
+    h = design_lowpass(default_cutoff(mp), rx.fs)
+    nfft = _fft_size(len(h))
+    return IqBuffer(samples=_overlap_save(x, h, np.fft.fft(h, nfft), nfft, lag=(len(h) - 1) // 2,
                                           ref=periodic_reference(mp.chirp, len(x))),
                     fs=rx.fs)
 
@@ -166,7 +155,6 @@ def _phase_step_response(c1: float, c2: float, n: int) -> np.ndarray:
     return np.concatenate((q[:1], np.diff(q)))
 
 
-@lru_cache(maxsize=8)
 def _loop_kernel(c1: float, c2: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Step response g (truncated below SLIP_TAIL), its overlap-save
     spectrum, and the FFT size, for the loop with gains (c1, c2)."""
@@ -180,9 +168,7 @@ def _loop_kernel(c1: float, c2: float) -> tuple[np.ndarray, np.ndarray, int]:
     g = _phase_step_response(c1, c2, span)
     g = g[:int(np.flatnonzero(np.abs(g) > SLIP_TAIL)[-1]) + 1]
     nfft = _fft_size(len(g))
-    spectrum = np.fft.rfft(g, nfft)
-    g.flags.writeable = spectrum.flags.writeable = False  # shared by every caller
-    return g, spectrum, nfft
+    return g, np.fft.rfft(g, nfft), nfft
 
 
 def _fft_size(taps: int) -> int:
@@ -327,7 +313,6 @@ def dpll_response(p: DpllParams, freq_hz: float) -> complex:
     return (p.c1 * zm1 + p.c2 * zm1 ** 2) / (zm1 ** 2 + p.c2 * zm1 + p.c1)
 
 
-@lru_cache(maxsize=8)
 def _lls_design(degree: int, window_len: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Rank-``degree`` factors of the per-window solve+differentiate operator
     on a normalized time grid.
@@ -336,13 +321,12 @@ def _lls_design(degree: int, window_len: int) -> tuple[np.ndarray, np.ndarray, f
     polynomial's coefficients of u**1 .. u**degree (the constant term has
     no derivative), and V @ coefficients evaluates d(phase)/du at every
     window sample (u spanning [-1, 1]); multiplying by scale * fs converts
-    that to Hz.  The arrays are cached and read-only.
+    that to Hz.
     """
     u = np.linspace(-1.0, 1.0, window_len)
     vand = np.vander(u, degree + 1, increasing=True)
     proj = np.ascontiguousarray(np.linalg.pinv(vand)[1:])
     deriv = vand[:, :-1] * np.arange(1, degree + 1)
-    proj.flags.writeable = deriv.flags.writeable = False  # shared by every caller
     half_span = (window_len - 1) / 2.0
     return proj, deriv, 1.0 / (2.0 * np.pi * half_span)
 

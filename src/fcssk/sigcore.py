@@ -43,7 +43,7 @@ def _usable_cpus() -> int:
 
 def parallel_workers() -> int:
     """Threads ``run_parallel`` may use here: one per usable CPU, or one
-    inside ``serially``, as in every item it runs on several threads."""
+    inside ``serially``, as in every item that ``run_parallel`` runs."""
     return 1 if getattr(_SERIAL, "on", False) else _usable_cpus()
 
 
@@ -63,15 +63,15 @@ def run_parallel(fn, items) -> list:
     Uses ``min(len(items), parallel_workers())`` threads, named
     ``fcssk-<fn name>-<k>``, each taking the next item not yet taken,
     while the calling thread waits; with one, the items run in the calling
-    thread and no thread starts.  Items on the threads run inside
-    ``serially``, so there is one level of parallelism.  The first failure
-    stops the items not yet started, waits for the running ones and is
-    re-raised; every thread has ended before this returns.
+    thread and no thread starts.  Every item runs inside ``serially``,
+    on a thread or inline, so there is one level of parallelism.  The
+    first failure stops the items not yet started, waits for the running
+    ones and is re-raised; every thread has ended before this returns.
     """
     items = list(items)
     workers = min(len(items), parallel_workers())
     if workers <= 1:
-        return [fn(item) for item in items]
+        return [serially(fn, item) for item in items]
     results = [None] * len(items)
     failures = []
     claim = itertools.count()     # next() is atomic: every item is taken once
@@ -169,19 +169,14 @@ def derive_params(b0: float, rep_rate: float, fs: int, strict: bool = False) -> 
 def synthesize(freq: np.ndarray, fs: int) -> IqBuffer:
     """Unit-amplitude signal whose IF track is ``freq`` (Hz), phase 0 at start.
 
-    The phase is summed into the imaginary part of the output, scaled and
-    exponentiated there, so the only full-length array built is the
+    The phase is summed into the imaginary part of a zeroed output, scaled
+    and exponentiated there, so the only full-length array built is the
     output.  The result equals ``exp(1j * (2*pi/fs) * cumsum(freq))`` bit
     for bit: that product's real part is a zero, and exp(+-0 + j*phi) is
-    the same number.  The sum runs in order; the zero real part (which
-    first touches the output's pages), the scale and the exponential are
-    elementwise and run block by block on ``run_blocks``.
+    the same number.  The sum runs in order; the scale and the exponential
+    are elementwise and run block by block on ``run_blocks``.
     """
-    out = np.empty(len(freq), dtype=np.complex128)
-
-    def zero_real(s: slice) -> None:
-        out.real[s] = 0.0
-    run_blocks(zero_real, len(out))
+    out = np.zeros(len(freq), dtype=np.complex128)
     np.cumsum(freq, out=out.imag)
     scale = 2.0 * np.pi / fs
 

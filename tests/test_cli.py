@@ -704,6 +704,20 @@ def test_snr_step_below_csv_resolution_refused(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_one_point_grid_has_no_step_resolution(tmp_path, capsys):
+    # one point prints one row whatever the step; two points a step apart
+    # that print the same are still refused
+    out = tmp_path / "t.csv"
+    assert run(["theory", "--snr-start", 10, "--snr-stop", 10, "--snr-step", 1e-6,
+                "--out", out]) == 0
+    assert [r["snr_db"] for r in parse_csv(out.read_text())] == [10]
+    out.unlink()
+    assert run(["theory", "--snr-start", 10, "--snr-stop", 10.000001, "--snr-step", 1e-6,
+                "--out", out]) == 1
+    assert "where two grid points would print the same" in capsys.readouterr().err
+    assert not out.exists()
+
+
 SIGNAL = {"--code", "--bitrate", "--b0", "--rep-rate", "--fs", "--strict-spec"}
 RECEIVER = {"--estimator", "--no-sync"}
 GRID = {"--snr-start", "--snr-stop", "--snr-step"}

@@ -10,9 +10,9 @@ import pytest
 from fcssk import AliasingError, ConfigError, IqBuffer, derive_params, reference_chirp
 from fcssk import sigcore
 from fcssk.codec import CodedFrame
-from fcssk.sigcore import (PARALLEL_BLOCK, UNWRAP_BLOCK, first_non_finite, periodic_reference,
-                           reference_frequency, reference_tail, run_blocks, run_parallel,
-                           serially, synthesize, unwrap_in_place)
+from fcssk.sigcore import (PARALLEL_BLOCK, UNWRAP_BLOCK, first_non_finite, parallel_workers,
+                           periodic_reference, reference_frequency, reference_tail, run_blocks,
+                           run_parallel, synthesize, unwrap_in_place)
 from fcssk.txmod import modulated_frequency
 from if_reference import instantaneous_frequency, unwrap_phase
 
@@ -264,8 +264,7 @@ class TestRunParallel:
         assert names == [(threading.current_thread().name, before)] * items
 
     def test_one_level_of_parallelism(self, monkeypatch):
-        # an item that calls run_parallel runs the inner items in its own
-        # thread, as does anything called through serially
+        # an item that calls run_parallel runs the inner items in its own thread
         monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 2)
 
         def _outer(i):
@@ -273,10 +272,12 @@ class TestRunParallel:
             inner = run_parallel(lambda j: threading.current_thread().name, range(8))
             return inner == [me] * 8
         assert run_parallel(_outer, range(6)) == [True] * 6
-        here = threading.current_thread().name
-        assert serially(run_parallel, lambda j: threading.current_thread().name,
-                        range(8)) == [here] * 8
-        assert sigcore.parallel_workers() == 2    # serially restores the outer state
+
+    def test_inline_items_follow_the_one_level_rule(self, monkeypatch):
+        # a lone item runs inline, and no deeper than an item on a thread
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 2)
+        assert run_parallel(lambda _: parallel_workers(), [0]) == [1]
+        assert parallel_workers() == 2    # the outer state is restored
 
     def test_first_failure_stops_queued_items_and_is_raised(self, monkeypatch):
         monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 2)
