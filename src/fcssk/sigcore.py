@@ -14,6 +14,11 @@ Conventions used throughout the package:
 ``run_parallel`` is the package's one thread helper: the trials of a sweep
 run through it, and so do the per-sample stages of one long burst, split
 into blocks that each write their own slice of a preallocated output.
+
+The unmodulated reference chirp is built period by period from one
+period's IF, with the phase sum carried across each wrap, and is cached
+per ``ChirpParams`` (``periodic_reference``); a longer request extends
+the cache by the missing periods, so no period is synthesized twice.
 """
 
 from __future__ import annotations
@@ -166,6 +171,19 @@ def derive_params(b0: float, rep_rate: float, fs: int, strict: bool = False) -> 
                        n=n, k0=float(b0) / n)
 
 
+def _scale_exp(out: np.ndarray, fs: int) -> None:
+    """Turn the phase sums in ``out.imag`` (real part zero) into
+    ``exp(1j * (2*pi/fs) * sum)`` in place.  Both steps are elementwise,
+    and run block by block on ``run_blocks``."""
+    scale = 2.0 * np.pi / fs
+
+    def scale_exp(s: slice) -> None:
+        block = out[s]
+        block.imag *= scale
+        np.exp(block, out=block)
+    run_blocks(scale_exp, len(out))
+
+
 def synthesize(freq: np.ndarray, fs: int) -> IqBuffer:
     """Unit-amplitude signal whose IF track is ``freq`` (Hz), phase 0 at start.
 
@@ -174,38 +192,50 @@ def synthesize(freq: np.ndarray, fs: int) -> IqBuffer:
     output.  The result equals ``exp(1j * (2*pi/fs) * cumsum(freq))`` bit
     for bit: that product's real part is a zero, and exp(+-0 + j*phi) is
     the same number.  The sum runs in order; the scale and the exponential
-    are elementwise and run block by block on ``run_blocks``.
+    run on ``_scale_exp``.
     """
     out = np.zeros(len(freq), dtype=np.complex128)
     np.cumsum(freq, out=out.imag)
-    scale = 2.0 * np.pi / fs
-
-    def scale_exp(s: slice) -> None:
-        block = out[s]
-        block.imag *= scale
-        np.exp(block, out=block)
-    run_blocks(scale_exp, len(out))
+    _scale_exp(out, fs)
     return IqBuffer(samples=out, fs=fs)
 
 
-def reference_frequency(params: ChirpParams, n_samples: int) -> np.ndarray:
-    """IF track of the unmodulated reference: k0 * (n mod N), sawtooth."""
-    freq = np.arange(n_samples, dtype=np.float64)
-    np.mod(freq, params.n, out=freq)
-    freq *= params.k0
-    return freq
+def _reference_periods(params: ChirpParams, out: np.ndarray, carry: float) -> float:
+    """Write whole reference periods into the zeroed complex128 ``out``,
+    continuing a phase sum ``carry`` (0.0 at transmission start), and
+    return the sum carried out of the last period.
+
+    Every period's IF is ``k0 * arange(N)``, which equals the sawtooth
+    ``k0 * (n mod N)`` bit for bit, so no full-length IF track is built.
+    Each period's sum starts at ``f[0] + carry``: ``f[0]`` is 0.0, so
+    that is the running sum a full-length ``cumsum`` carries across the
+    wrap, and the periods equal ``synthesize`` of the sawtooth bit for bit.
+    """
+    n = params.n
+    f = np.arange(n, dtype=np.float64)
+    f *= params.k0
+    for lo in range(0, len(out), n):
+        f[0] = carry
+        phase = out.imag[lo:lo + n]
+        np.cumsum(f, out=phase)
+        carry = float(phase[-1])
+    _scale_exp(out, params.fs)
+    return carry
 
 
 def reference_chirp(params: ChirpParams, n_periods: int) -> IqBuffer:
     """Unmodulated linear chirp of ``n_periods`` repetitions.
 
     Within each period the IF rises from 0 to b0*(N-1)/N in steps of k0;
-    at every period boundary b0 is subtracted (sawtooth reset).
+    at every period boundary b0 is subtracted (sawtooth reset).  Built
+    period by period (``_reference_periods``): the output is the only
+    full-length array.
     """
     if n_periods < 1:
         raise ConfigError("n_periods must be >= 1")
-    freq = reference_frequency(params, n_periods * params.n)
-    return synthesize(freq, params.fs)
+    out = np.zeros(n_periods * params.n, dtype=np.complex128)
+    _reference_periods(params, out, 0.0)
+    return IqBuffer(samples=out, fs=params.fs)
 
 
 def reference_tail(params: ChirpParams, n_samples: int) -> np.ndarray:
@@ -214,32 +244,45 @@ def reference_tail(params: ChirpParams, n_samples: int) -> np.ndarray:
 
     Used to model a receiver that starts listening mid-stream: appending a
     buffer whose first sample is 1+0j after this tail yields a
-    phase-continuous periodic chirp stream.
+    phase-continuous periodic chirp stream.  The period is the cached
+    first period of ``periodic_reference``.
     """
     if not 0 <= n_samples <= params.n:
         raise ConfigError(f"tail length must be in [0, {params.n}], got {n_samples}")
     if n_samples == 0:
         return np.zeros(0, dtype=np.complex128)
-    ref = reference_chirp(params, 1).samples
+    ref = periodic_reference(params, params.n)
     # phase at the (virtual) next sample equals phase of the last one because
     # the post-wrap IF is exactly 0, so rotating by conj(last) lands at 0.
     return ref[params.n - n_samples:] * np.conj(ref[params.n - 1])
 
 
-_PERIODIC_CACHE: dict[ChirpParams, np.ndarray] = {}
-_PERIODIC_LOCK = threading.Lock()    # concurrent trials: one build, never a shorter one
+# per chirp: the cached periods, and the phase sum carried out of the last
+_PERIODIC_CACHE: dict[ChirpParams, tuple[np.ndarray, float]] = {}
+_PERIODIC_LOCK = threading.Lock()    # concurrent trials: each period built once
 
 
 def periodic_reference(params: ChirpParams, n_samples: int) -> np.ndarray:
     """First ``n_samples`` of the endless periodic reference chirp (cached,
-    read-only)."""
+    read-only).
+
+    The cache holds whole periods.  A longer request synthesizes only the
+    missing periods, continuing the carried phase sum, into a new array
+    that starts with a copy of the cached ones; a caller asking for a
+    stream's full length at once saves that copy.
+    """
+    if n_samples < 0:
+        raise ConfigError(f"reference length must be >= 0, got {n_samples}")
     with _PERIODIC_LOCK:
-        cached = _PERIODIC_CACHE.get(params)
-        if cached is None or len(cached) < n_samples:
-            periods = max(-(-n_samples // params.n), 1)
-            cached = reference_chirp(params, periods).samples
-            cached.flags.writeable = False  # shared by every caller
-            _PERIODIC_CACHE[params] = cached
+        cached, carry = _PERIODIC_CACHE.get(params, (np.zeros(0, dtype=np.complex128), 0.0))
+        have = len(cached)
+        if have < n_samples:
+            grown = np.zeros(-(-n_samples // params.n) * params.n, dtype=np.complex128)
+            grown[:have] = cached
+            carry = _reference_periods(params, grown[have:], carry)
+            grown.flags.writeable = False  # shared by every caller
+            cached = grown
+            _PERIODIC_CACHE[params] = cached, carry
     return cached[:n_samples]
 
 

@@ -162,6 +162,19 @@ def _measure_slips(rx: np.ndarray, params: ChirpParams, t0: int, guard: int) -> 
     return float(np.clip(d, -guard, guard))
 
 
+def _median(p: np.ndarray) -> float:
+    """``np.median(p)`` of a 1-D float64 array, bit for bit: the middle
+    order statistic, or the mean of the two middle ones, from
+    ``np.partition``.  ``np.median`` also checks for NaN through
+    ``numpy.ma``, an import every fresh process would pay; a NaN in the
+    periodogram is its own argmax, so sync refuses it either way."""
+    half = len(p) // 2
+    if len(p) % 2:
+        return float(np.partition(p, half)[half])
+    part = np.partition(p, (half - 1, half))
+    return float((part[half - 1] + part[half]) / 2.0)
+
+
 def estimate_timing(rx: IqBuffer, params: ChirpParams) -> SyncEstimate:
     """Estimate the timing offset of ``rx`` against the local reference.
 
@@ -172,13 +185,13 @@ def estimate_timing(rx: IqBuffer, params: ChirpParams) -> SyncEstimate:
     n = params.n
     if len(x) < n:
         raise ConfigError(f"need at least one period ({n} samples), got {len(x)}")
-    # the stream's reference, built once at full length: the passes below,
-    # and a downconversion after them, read it from the cache, where a
-    # cache grown pass by pass is rebuilt whole at each step
+    # the stream's reference, requested once at full length: the passes
+    # below, and a downconversion after them, read it from the cache, where
+    # a cache grown pass by pass would copy its periods at each step
     periodic_reference(params, len(x))
     p = _mixed_periodogram(x, params, 0, min(MAX_COARSE_PERIODS, len(x) // n))
     peak_bin = int(np.argmax(p))
-    floor = float(np.median(p))
+    floor = _median(p)
     if not p[peak_bin] > PEAK_FLOOR_RATIO * floor:
         raise SyncError("no beat peak above the noise floor")
     f_peak = peak_bin * params.fs / n

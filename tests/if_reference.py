@@ -1,14 +1,24 @@
 """Reference phase and IF helpers that the tests check the package against.
 
-``unwrap_phase`` is ``np.unwrap`` through the package's block unwrap, and
+``unwrap_phase`` is ``np.unwrap`` through the package's block unwrap,
 ``instantaneous_frequency`` is the IF of a noiseless capture read off its
-unwrapped phase differences.
+unwrapped phase differences, and ``reference_frequency`` is the
+full-length sawtooth IF track whose ``synthesize`` the reference chirp
+equals bit for bit.
 """
 
 import numpy as np
 
 from fcssk.errors import ConfigError
-from fcssk.sigcore import IqBuffer, unwrap_in_place
+from fcssk.sigcore import ChirpParams, IqBuffer, unwrap_in_place
+
+
+def reference_frequency(params: ChirpParams, n_samples: int) -> np.ndarray:
+    """IF track of the unmodulated reference: k0 * (n mod N), sawtooth."""
+    freq = np.arange(n_samples, dtype=np.float64)
+    np.mod(freq, params.n, out=freq)
+    freq *= params.k0
+    return freq
 
 
 def unwrap_phase(phase: np.ndarray) -> np.ndarray:

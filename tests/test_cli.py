@@ -279,6 +279,31 @@ def traced_peak(body, *args) -> int:
     return int(done.stdout)
 
 
+def test_fresh_process_never_imports_numpy_ma(tmp_path):
+    """``np.median`` imports ``numpy.ma``, which set-up would pay; neither a
+    ``demodulate`` nor a one-point ``simulate`` pulls it in."""
+    script = textwrap.dedent("""
+        import sys
+        from fcssk.cli import main
+        assert main(["modulate", "--in", sys.argv[1], "--out", sys.argv[2],
+                     "--bitrate", "512"]) == 0
+        assert main(["demodulate", "--in", sys.argv[2], "--out", sys.argv[3],
+                     "--bitrate", "512"]) == 0
+        assert main(["simulate", "--bitrate", "512", "--bits", "600", "--snr-start", "10",
+                     "--snr-stop", "10", "--out", sys.argv[4]]) == 0
+        print("numpy.ma" in sys.modules)
+    """)
+    bits = np.random.default_rng(3).integers(0, 2, 192)
+    write_bits(tmp_path / "in.bits", bits)
+    paths = [tmp_path / name for name in ("in.bits", "tx.cf32", "rx.bits", "sweep.csv")]
+    src = str(Path(fcssk.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script, *map(str, paths)],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert np.array_equal(read_bits(tmp_path / "rx.bits"), bits)
+    assert done.stdout == "False\n"
+
+
 class TestReceiveChain:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("use_sync", [True, False])

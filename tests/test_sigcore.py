@@ -10,11 +10,17 @@ import pytest
 from fcssk import AliasingError, ConfigError, IqBuffer, derive_params, reference_chirp
 from fcssk import sigcore
 from fcssk.codec import CodedFrame
+from fcssk.channel import apply_delay
 from fcssk.sigcore import (PARALLEL_BLOCK, UNWRAP_BLOCK, first_non_finite, parallel_workers,
-                           periodic_reference, reference_frequency, reference_tail, run_blocks,
-                           run_parallel, synthesize, unwrap_in_place)
+                           periodic_reference, reference_tail, run_blocks, run_parallel,
+                           synthesize, unwrap_in_place)
 from fcssk.txmod import modulated_frequency
-from if_reference import instantaneous_frequency, unwrap_phase
+from if_reference import instantaneous_frequency, reference_frequency, unwrap_phase
+
+# (b0, rep_rate, fs): the operating point, a non-power-of-two rate, a wide
+# chirp, and an odd period (N = 16383)
+REFERENCE_CONFIGS = [(1024.0, 4.0, 65536), (700.0, 2.5, 48000), (3000.0, 5.0, 96000),
+                     (1000.0, 3.0, 49149)]
 
 
 def same_bits(got, want):
@@ -104,14 +110,17 @@ class TestPeriodicReference:
 
     def test_concurrent_callers_build_each_length_once(self, chirp, monkeypatch):
         # more threads than cores, switching often: every caller gets the
-        # right prefix, and the cache is only ever rebuilt longer
+        # right prefix, and growing the cache from 1 to 5 periods
+        # synthesizes each period exactly once
+        want = reference_chirp(chirp, 5).samples
         monkeypatch.setattr(sigcore, "_PERIODIC_CACHE", {})
-        builds = []
+        built = []
+        build = sigcore._reference_periods
 
-        def counted(params, n_periods):
-            builds.append(n_periods)
-            return reference_chirp(params, n_periods)
-        monkeypatch.setattr(sigcore, "reference_chirp", counted)
+        def counted(params, out, carry):
+            built.append(len(out) // params.n)
+            return build(params, out, carry)
+        monkeypatch.setattr(sigcore, "_reference_periods", counted)
         lengths = [(k % 5 + 1) * chirp.n - k for k in range(32)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -120,11 +129,20 @@ class TestPeriodicReference:
                 got = list(pool.map(lambda n: periodic_reference(chirp, n), lengths, timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        want = reference_chirp(chirp, 5).samples
         assert [len(g) for g in got] == lengths
-        assert all(np.array_equal(g, want[:len(g)]) for g in got)
-        assert builds == sorted(set(builds))
-        assert len(sigcore._PERIODIC_CACHE[chirp]) == 5 * chirp.n
+        assert all(same_bits(g, want[:len(g)]) for g in got)
+        assert sum(built) == 5
+        assert len(sigcore._PERIODIC_CACHE[chirp][0]) == 5 * chirp.n
+
+    def test_negative_length_refused(self, chirp):
+        # a negative slice end would hand back most of the cached reference
+        periodic_reference(chirp, chirp.n)
+        with pytest.raises(ConfigError, match="must be >= 0, got -5"):
+            periodic_reference(chirp, -5)
+
+    def test_zero_length_is_empty(self, chirp, monkeypatch):
+        monkeypatch.setattr(sigcore, "_PERIODIC_CACHE", {})
+        assert len(periodic_reference(chirp, 0)) == 0
 
 
 class TestInstantaneousFrequency:
@@ -170,6 +188,20 @@ class TestReferenceTail:
             reference_tail(chirp, chirp.n + 1)
         assert len(reference_tail(chirp, 0)) == 0
 
+    @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
+    def test_tail_of_the_cached_period_is_the_synthesized_tail(self, config, monkeypatch):
+        # apply_delay's prefix, read off the cached first period, equals the
+        # tail of one period synthesized on its own
+        chirp = derive_params(*config)
+        monkeypatch.setattr(sigcore, "_PERIODIC_CACHE", {})
+        one = synthesize(reference_frequency(chirp, chirp.n), chirp.fs).samples
+        burst = IqBuffer(np.ones(chirp.n + 1, dtype=np.complex128), chirp.fs)
+        for delay in (1, 3000, chirp.n - 1, chirp.n):
+            want = one[chirp.n - delay:] * np.conj(one[chirp.n - 1])
+            assert same_bits(reference_tail(chirp, delay), want)
+            if delay < chirp.n:
+                assert same_bits(apply_delay(burst, delay, chirp).samples[:delay], want)
+
 
 class TestInPlaceSynthesis:
     """The in-place builds against the formulas they replaced."""
@@ -182,6 +214,34 @@ class TestInPlaceSynthesis:
         for freq in (modulated_frequency(frame, one_sample), rng.uniform(-fs / 2, fs / 2, t)):
             want = np.exp(1j * ((2.0 * np.pi / fs) * np.cumsum(freq)))
             assert same_bits(synthesize(freq, fs).samples, want)
+
+    @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
+    @pytest.mark.parametrize("periods", [1, 3, 17])
+    def test_reference_is_synthesized_sawtooth(self, config, periods):
+        # built period by period, with no full-length IF track
+        chirp = derive_params(*config)
+        freq = reference_frequency(chirp, periods * chirp.n)
+        want = np.exp(1j * ((2.0 * np.pi / chirp.fs) * np.cumsum(freq)))
+        assert same_bits(reference_chirp(chirp, periods).samples, want)
+
+    def test_reference_does_not_depend_on_worker_count(self, chirp, monkeypatch):
+        built = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(sigcore, "_usable_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(sigcore, "_PERIODIC_CACHE", {})
+            built.append(periodic_reference(chirp, 5 * chirp.n - 1).tobytes())
+        assert built[0] == built[1] == built[2]
+
+    @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
+    def test_grown_cache_is_the_one_shot_build(self, config, monkeypatch):
+        # grown in steps of whole and partial periods, the cache extends its
+        # carried phase sum and equals one build of all its periods
+        chirp = derive_params(*config)
+        monkeypatch.setattr(sigcore, "_PERIODIC_CACHE", {})
+        want = synthesize(reference_frequency(chirp, 9 * chirp.n), chirp.fs).samples
+        for n in (1, 3 * chirp.n - 7, 3 * chirp.n, 5 * chirp.n + 1, 9 * chirp.n):
+            assert same_bits(periodic_reference(chirp, n), want[:n])
+        assert same_bits(sigcore._PERIODIC_CACHE[chirp][0], want)
 
     @pytest.mark.parametrize("fs", [65536, 48000])
     @pytest.mark.parametrize("periods", [0.5, 1, 3.25])

@@ -5,7 +5,7 @@ from fcssk import (ConfigError, IqBuffer, SyncError, align, apply_awgn,
                    apply_delay, derive_params, estimate_timing, modulate, reference_chirp)
 from fcssk.codec import encode
 from fcssk.sigcore import periodic_reference
-from fcssk.sync import (MAX_SLIP_BOUNDARIES, SLIP_AVG, SLIP_GUARDS, _measure_slips,
+from fcssk.sync import (MAX_SLIP_BOUNDARIES, SLIP_AVG, SLIP_GUARDS, _measure_slips, _median,
                         _mixed_periodogram)
 from fcssk.txmod import make_mod_params
 from if_reference import unwrap_phase
@@ -92,7 +92,7 @@ def reference_measure_slips(rx, params, t0, guard):
     n, fs, b0 = params.n, params.fs, params.b0
     total = len(rx) - t0
     half = 3 * guard + SLIP_AVG
-    ref = periodic_reference(params, total)
+    ref = periodic_reference(params, max(total, 0))   # t0 may lie past a short stream's end
     deltas = []
     p = n
     while p + half < total and len(deltas) < MAX_SLIP_BOUNDARIES:
@@ -154,3 +154,16 @@ class TestMixedPeriodogram:
         want = want.mean(axis=0)
         got = _mixed_periodogram(rx, chirp, start, periods)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 16383, 16384])
+    def test_is_numpy_median(self, chirp, rng, n):
+        # the sync noise floor: exact order statistics, with the even-length
+        # mean taken as numpy takes it, on random, tied and periodogram values
+        periods = max(n // chirp.n, 1)
+        x = rng.standard_normal(periods * chirp.n) + 1j * rng.standard_normal(periods * chirp.n)
+        for p in (rng.standard_normal(n), rng.integers(0, 3, n).astype(np.float64),
+                  rng.exponential(size=n) ** 3, _mixed_periodogram(x, chirp, 0, periods)[:n]):
+            want = np.median(p)
+            assert np.array_equal(np.float64(_median(p)).view(np.uint64), want.view(np.uint64))
