@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .sigcore import (PARALLEL_BLOCK, IqBuffer, parallel_workers, periodic_reference, run_blocks,
-                      run_parallel, unwrap_in_place)
+from .sigcore import (PARALLEL_BLOCK, UNWRAP_BLOCK, IqBuffer, parallel_workers,
+                      periodic_reference, run_blocks, run_chain, run_parallel, unwrap_step)
 from .txmod import ModParams, peak_deviation
 
 LOWPASS_SPAN_S = 128 / 65536  # lowpass length, s: 128 sample intervals at 65536 S/s
@@ -343,16 +343,24 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> np.ndarray:
     The first and last windows also cover their outer edges so the track
     spans the whole input.  The operator has rank ``degree``, so every
     window goes through its two factors: one batched ``np.matvec`` over a
-    strided view of the phase fits the coefficients of all windows, a
-    second evaluates their derivatives, LLS_WINDOW_CHUNK windows at a
-    time, so the coefficients between the two stay block-sized.  The
-    phase runs block by block on ``run_blocks``.  The unwrap is a running
-    sum, and ``np.matvec`` holds the interpreter lock (two threads ran the
-    chunks slower than one), so both run in this thread.
-    Neither is a BLAS-3 product, which would wake (and leave spinning) a
-    threaded BLAS on every call.  Beyond the output, the full-length
-    array is the phase alone: ``bb`` is dropped once the phase is taken,
-    so a baseband handed over inline is freed before the track.
+    strided view of the phase fits the coefficients of a run of windows,
+    a second evaluates their derivatives, at most LLS_WINDOW_CHUNK
+    windows at a time, so the coefficients between the two stay
+    block-sized.  Neither is a BLAS-3 product, which would wake (and
+    leave spinning) a threaded BLAS on every call.
+
+    The phase runs block by block on ``run_blocks``.  The unwrap, a
+    running sum, runs as the heads of ``run_chain``, UNWRAP_BLOCK samples
+    each, in order; each block's tail fits the windows whose last sample
+    lies in it, which the heads before it have unwrapped, beside the
+    next block's unwrap.  ``np.matvec`` releases the interpreter lock,
+    so a fit overlaps an unwrap, though two fits at once ran no faster
+    than one.  The two edge windows are fitted after the chain.  Each
+    window's fit does not depend on the run it is batched in, so the
+    track does not depend on the split.  Beyond the output, the
+    full-length array is the phase alone: ``bb`` is dropped once the
+    phase is taken, so a baseband handed over inline is freed before
+    the track.
     """
     if p.degree < 2:
         raise ConfigError("polynomial degree must be >= 2")
@@ -369,18 +377,29 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> np.ndarray:
     gain = scale * bb.fs
     phi = _angle(bb.samples, np.empty(total, dtype=bb.samples.real.dtype))
     del bb
-    unwrap_in_place(phi)
     out = np.empty(total)
 
     windows = np.lib.stride_tricks.sliding_window_view(phi, window)[::hop]
     stop = lead + windows.shape[0] * hop
     rows = out[lead:stop].reshape(-1, hop)
-    for first in range(0, len(windows), LLS_WINDOW_CHUNK):
-        chunk = slice(first, first + LLS_WINDOW_CHUNK)
-        np.matvec(deriv[lead:lead + hop], np.matvec(proj, windows[chunk]), out=rows[chunk])
+
+    def unwrap(s: slice, carry: tuple[float, float]) -> tuple[float, float]:
+        return unwrap_step(phi[1 + s.start:1 + s.stop], carry)   # sample 0 stays
+
+    def fit(s: slice) -> None:
+        # window k ends at sample k*hop + window - 1; this block unwrapped
+        # samples 1 + s.start .. s.stop
+        first = max(-((window - 2 - s.start) // hop), 0)
+        last = min((s.stop - window + 1) // hop + 1, len(windows))
+        for lo in range(first, last, LLS_WINDOW_CHUNK):
+            chunk = slice(lo, min(lo + LLS_WINDOW_CHUNK, last))
+            np.matvec(deriv[lead:lead + hop], np.matvec(proj, windows[chunk]), out=rows[chunk])
+            rows[chunk] *= gain
+    run_chain(unwrap, fit, total - 1, UNWRAP_BLOCK, (0.0, float(phi[0])))
     out[:lead] = np.matvec(deriv[:lead], np.matvec(proj, phi[:window]))
+    out[:lead] *= gain
     if stop < total:
         start_f = total - window
         out[stop:] = np.matvec(deriv[stop - start_f:], np.matvec(proj, phi[start_f:]))
-    out *= gain
+        out[stop:] *= gain
     return out

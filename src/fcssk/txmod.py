@@ -15,7 +15,7 @@ import numpy as np
 
 from .codec import CodedFrame, get_code_spec
 from .errors import ConfigError
-from .sigcore import ChirpParams, IqBuffer, synthesize
+from .sigcore import PARALLEL_BLOCK, ChirpParams, IqBuffer, synthesize_chain
 
 
 @dataclass(frozen=True)
@@ -47,33 +47,48 @@ def _check_frame(frame: CodedFrame, mp: ModParams) -> None:
         raise ConfigError(f"frame coded_bit_len {frame.coded_bit_len} != {mp.coded_bit_len}")
 
 
-def _slope_per_sample(frame: CodedFrame, mp: ModParams) -> np.ndarray:
-    kappa = np.where(frame.bits == 1, 2.0 * mp.chirp.k0, 0.0)
-    return np.repeat(kappa, mp.coded_bit_len)
-
-
-def modulated_frequency(frame: CodedFrame, mp: ModParams) -> np.ndarray:
-    """Absolute IF track of the modulated signal, sawtooth-wrapped.
-
-    f[n] accumulates the slopes of samples 0..n-1 (f[0] = 0, matching the
-    zero initial IF of the reference), minus b0 per completed period.
-    """
-    kap = _slope_per_sample(frame, mp)
-    t = len(kap)
-    freq = np.empty(t)
-    if t:
-        freq[0] = 0.0
-        np.cumsum(kap[:-1], out=freq[1:])
-    n = mp.chirp.n
-    for period in range(1, -(-t // n)):
-        freq[period * n:(period + 1) * n] -= mp.chirp.b0 * period
-    return freq
+def _coded_bit_slopes(frame: CodedFrame, mp: ModParams) -> np.ndarray:
+    """The per-sample slope of each coded bit: 0 for a 0, 2*k0 for a 1."""
+    return np.where(frame.bits == 1, 2.0 * mp.chirp.k0, 0.0)
 
 
 def modulate(frame: CodedFrame, mp: ModParams) -> IqBuffer:
-    """Synthesize the unit-envelope FCSSK signal for a coded frame."""
+    """Synthesize the unit-envelope FCSSK signal for a coded frame, phase 0
+    at start.
+
+    The IF f[n] accumulates the slopes of samples 0..n-1 (f[0] = 0,
+    matching the zero initial IF of the reference), minus b0 per
+    completed period (sawtooth wrap), and sample n is
+    ``exp(1j * (2*pi/fs) * cumsum(f)[n])``, bit for bit.  No full-length
+    slope or IF track is built: on ``synthesize_chain``, the heads sum
+    each block's slopes and then its phase, in order, carrying the raw
+    slope sum and the phase sum (a block that begins ``block[0] += carry``
+    sums to the same bits) and subtracting the wrap per period; the
+    tails scale and exponentiate each summed block into the output,
+    beside the later heads.
+    """
     _check_frame(frame, mp)
-    return synthesize(modulated_frequency(frame, mp), mp.chirp.fs)
+    n, b0, fs, bit_len = mp.chirp.n, mp.chirp.b0, mp.chirp.fs, mp.coded_bit_len
+    slopes = _coded_bit_slopes(frame, mp)
+    out = np.zeros(len(slopes) * bit_len, dtype=np.complex128)
+
+    def phase_sums(phase: np.ndarray, s: slice,
+                   carry: tuple[float, float]) -> tuple[float, float]:
+        slope_sum, phase_sum = carry    # f[lo] before its wrap, and the phase through lo - 1
+        lo, hi = s.start, s.stop
+        first = lo // bit_len           # the coded bit of sample lo
+        phase[0] = slope_sum
+        phase[1:] = np.repeat(slopes[first:(hi - 2) // bit_len + 1],
+                              bit_len)[lo - first * bit_len:][:hi - lo - 1]
+        np.cumsum(phase, out=phase)
+        slope_sum = float(phase[-1]) + float(slopes[(hi - 1) // bit_len])
+        for period in range(max(lo // n, 1), -(-hi // n)):
+            phase[max(period * n - lo, 0):(period + 1) * n - lo] -= b0 * period
+        phase[0] += phase_sum
+        np.cumsum(phase, out=phase)
+        return slope_sum, float(phase[-1])
+    synthesize_chain(phase_sums, out, fs, PARALLEL_BLOCK, (0.0, 0.0))
+    return IqBuffer(samples=out, fs=fs)
 
 
 def ideal_deviation_track(frame: CodedFrame, mp: ModParams) -> np.ndarray:
@@ -87,7 +102,7 @@ def ideal_deviation_track(frame: CodedFrame, mp: ModParams) -> np.ndarray:
     modulate(frame) minus that of the reference chirp.
     """
     _check_frame(frame, mp)
-    kap = _slope_per_sample(frame, mp)
+    kap = np.repeat(_coded_bit_slopes(frame, mp), mp.coded_bit_len)
     return np.cumsum(kap - mp.chirp.k0)
 
 

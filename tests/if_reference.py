@@ -1,16 +1,65 @@
 """Reference phase and IF helpers that the tests check the package against.
 
-``unwrap_phase`` is ``np.unwrap`` through the package's block unwrap,
+``unwrap_in_place`` walks a whole phase through the package's per-block
+unwrap step, and ``unwrap_phase`` is ``np.unwrap`` through it;
 ``instantaneous_frequency`` is the IF of a noiseless capture read off its
-unwrapped phase differences, and ``reference_frequency`` is the
-full-length sawtooth IF track whose ``synthesize`` the reference chirp
-equals bit for bit.
+unwrapped phase differences.  ``synthesize`` is the signal of a
+full-length IF track, and ``reference_frequency`` and
+``modulated_frequency`` are the full-length IF tracks whose
+``synthesize`` the reference chirp and ``modulate`` equal bit for bit.
 """
 
 import numpy as np
 
+from fcssk.codec import CodedFrame
 from fcssk.errors import ConfigError
-from fcssk.sigcore import ChirpParams, IqBuffer, unwrap_in_place
+from fcssk.sigcore import UNWRAP_BLOCK, ChirpParams, IqBuffer, unwrap_step
+from fcssk.txmod import ModParams, _coded_bit_slopes
+
+
+def synthesize(freq: np.ndarray, fs: int) -> IqBuffer:
+    """Unit-amplitude signal whose IF track is ``freq`` (Hz), phase 0 at start.
+
+    The phase is summed into the imaginary part of a zeroed output, scaled
+    and exponentiated there, so the only full-length array built is the
+    output.  The result equals ``exp(1j * (2*pi/fs) * cumsum(freq))`` bit
+    for bit.
+    """
+    out = np.zeros(len(freq), dtype=np.complex128)
+    np.cumsum(freq, out=out.imag)
+    out.imag *= 2.0 * np.pi / fs
+    np.exp(out, out=out)
+    return IqBuffer(samples=out, fs=fs)
+
+
+def modulated_frequency(frame: CodedFrame, mp: ModParams) -> np.ndarray:
+    """Absolute IF track of the modulated signal, sawtooth-wrapped.
+
+    f[n] accumulates the slopes of samples 0..n-1 (f[0] = 0, matching the
+    zero initial IF of the reference), minus b0 per completed period.
+    """
+    kap = np.repeat(_coded_bit_slopes(frame, mp), mp.coded_bit_len)
+    t = len(kap)
+    freq = np.empty(t)
+    if t:
+        freq[0] = 0.0
+        np.cumsum(kap[:-1], out=freq[1:])
+    n = mp.chirp.n
+    for period in range(1, -(-t // n)):
+        freq[period * n:(period + 1) * n] -= mp.chirp.b0 * period
+    return freq
+
+
+def unwrap_in_place(phase: np.ndarray) -> None:
+    """Write ``np.unwrap(phase)`` into ``phase``, bit for bit, for a finite
+    1-D float64 array: sample 0 as it is, then blocks of UNWRAP_BLOCK
+    samples through ``unwrap_step``, carrying the running correction and
+    the last wrapped sample across each block edge."""
+    if len(phase) < 2:
+        return
+    carry = (0.0, float(phase[0]))
+    for lo in range(1, len(phase), UNWRAP_BLOCK):
+        carry = unwrap_step(phase[lo:lo + UNWRAP_BLOCK], carry)
 
 
 def reference_frequency(params: ChirpParams, n_samples: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from fcssk import (ConfigError, FileFormatError, IqBuffer, NonFiniteSampleError,
 from fcssk.chain import receive_chain
 from fcssk.cli import (_bits_from_args, build_parser, main, parse_csv, read_bits,
                        read_cf32, rows_to_csv, write_bits, write_cf32)
+from if_reference import modulated_frequency
 
 
 def run(args):
@@ -620,8 +621,7 @@ class TestBlockStages:
 
     def test_stages_do_not_depend_on_worker_count(self, burst, man128, monkeypatch, tmp_path):
         bits, rx = burst
-        freq = fcssk.txmod.modulated_frequency(
-            fcssk.encode(bits, "manchester", man128.coded_bit_len), man128)
+        frame = fcssk.encode(bits, "manchester", man128.coded_bit_len)
         outputs = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(sigcore, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -630,7 +630,7 @@ class TestBlockStages:
             write_cf32(path, rx.samples)
             estimate = sync.estimate_timing(rx, man128.chirp)
             outputs.append([
-                sigcore.synthesize(freq, man128.chirp.fs).samples, bb.samples,
+                fcssk.modulate(frame, man128).samples, bb.samples,
                 ifest.dpll_track(bb, ifest.default_dpll(man128)),
                 ifest.lls_track(bb, ifest.LlsParams(window_len=man128.coded_bit_len)),
                 sync._mixed_periodogram(rx.samples, man128.chirp, 3, 20),
@@ -641,6 +641,7 @@ class TestBlockStages:
         for other in outputs[1:]:
             for want, got in zip(outputs[0], other):
                 assert bytes(want) == bytes(got)
+        freq = modulated_frequency(frame, man128)
         formula = np.exp(1j * ((2.0 * np.pi / man128.chirp.fs) * np.cumsum(freq)))
         assert bytes(outputs[0][0]) == bytes(formula)
 

@@ -12,10 +12,10 @@ from fcssk import sigcore
 from fcssk.codec import CodedFrame
 from fcssk.channel import apply_delay
 from fcssk.sigcore import (PARALLEL_BLOCK, UNWRAP_BLOCK, first_non_finite, parallel_workers,
-                           periodic_reference, reference_tail, run_blocks, run_parallel,
-                           synthesize, unwrap_in_place)
-from fcssk.txmod import modulated_frequency
-from if_reference import instantaneous_frequency, reference_frequency, unwrap_phase
+                           periodic_reference, reference_tail, run_blocks, run_chain,
+                           run_parallel, serially)
+from if_reference import (instantaneous_frequency, modulated_frequency, reference_frequency,
+                          synthesize, unwrap_in_place, unwrap_phase)
 
 # (b0, rep_rate, fs): the operating point, a non-power-of-two rate, a wide
 # chirp, and an odd period (N = 16383)
@@ -362,6 +362,146 @@ class TestRunParallel:
         assert spans[0][0] == 0 and spans[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         assert len(spans) == 6 and run_blocks(lambda s: s, 0) == []
+
+
+def finishes(fn, *args, timeout=10.0):
+    """``fn(*args)`` on a helper thread: its result, or the exception it
+    raised; fails if it has not returned within ``timeout`` seconds (a
+    worker left waiting for its turn)."""
+    box = {}
+
+    def call():
+        try:
+            box["result"] = fn(*args)
+        except BaseException as exc:
+            box["error"] = exc
+    runner = threading.Thread(target=call, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "run_chain did not return"
+    return box
+
+
+class TestRunChain:
+    """Ordered heads carrying a running sum, and tails beside later heads."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_heads_carry_in_order_and_each_tail_follows_its_head(self, monkeypatch, cpus):
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
+        log, lock = [], threading.Lock()
+
+        workers = {}
+
+        def head(s, carry):
+            with lock:
+                log.append(("head", s.start, carry))
+            workers[s.start] = threading.current_thread().name
+            return carry + [s.start]
+
+        def tail(s):
+            time.sleep(0.001 * (s.start % 3))     # tails finish out of order
+            with lock:
+                log.append(("tail", s.start))
+            assert workers[s.start] == threading.current_thread().name   # its head's worker
+        assert run_chain(head, tail, 47, 5, []) == list(range(0, 47, 5))
+        heads = [entry for entry in log if entry[0] == "head"]
+        assert heads == [("head", lo, list(range(0, lo, 5))) for lo in range(0, 47, 5)]
+        for lo in range(0, 47, 5):
+            assert log.index(("tail", lo)) > log.index(("head", lo, list(range(0, lo, 5))))
+        assert len(log) == 20 and not fcssk_threads()
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        # frequent thread switches: a lost carry or a head run out of turn
+        # breaks the running sum or the order
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 8)
+        heads, tails = [], []
+
+        def head(s, carry):
+            heads.append(s.start)
+            return carry + s.start
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                heads.clear()
+                tails.clear()
+                box = finishes(run_chain, head, lambda s: tails.append(s.start), 200, 1, 0)
+                assert box.get("result") == sum(range(200))
+                assert heads == list(range(200)) and sorted(tails) == heads
+        finally:
+            sys.setswitchinterval(interval)
+        assert not fcssk_threads()
+
+    def test_a_tail_overlaps_a_later_head(self, monkeypatch):
+        # tail 0 holds its worker until head 1 has started on the other one
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 2)
+        head_one = threading.Event()
+        overlapped = []
+
+        def head(s, carry):
+            if s.start == 1:
+                head_one.set()
+            return carry
+
+        def tail(s):
+            if s.start == 0:
+                overlapped.append(head_one.wait(10))
+        finishes(run_chain, head, tail, 2, 1, None)
+        assert overlapped == [True]
+
+    def test_a_raising_head_is_raised_and_no_later_head_runs(self, monkeypatch):
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 3)
+        heads = []
+
+        def head(s, carry):
+            heads.append(s.start)
+            if s.start == 3:
+                time.sleep(0.2)       # the other workers take items 4 and 5 and wait
+                raise ConfigError("head 3 failed")
+            return carry
+        box = finishes(run_chain, head, lambda s: None, 20, 1, None)
+        assert isinstance(box.get("error"), ConfigError)
+        assert str(box["error"]) == "head 3 failed"
+        assert heads == [0, 1, 2, 3]
+        assert not fcssk_threads()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_raising_tail_is_raised(self, monkeypatch, cpus):
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
+
+        def tail(s):
+            if s.start == 2:
+                raise ConfigError("tail 2 failed")
+        box = finishes(run_chain, lambda s, carry: carry, tail, 10, 1, None)
+        assert isinstance(box.get("error"), ConfigError)
+        assert str(box["error"]) == "tail 2 failed"
+        assert not fcssk_threads()
+
+    @pytest.mark.parametrize("cpus,inside", [(1, False), (3, True)])
+    def test_one_worker_runs_inline_in_item_order(self, monkeypatch, cpus, inside):
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
+        before, me = threading.active_count(), threading.current_thread().name
+        log = []
+
+        def head(s, carry):
+            log.append(("head", s.start, threading.current_thread().name,
+                        threading.active_count()))
+            return carry + 1
+
+        def tail(s):
+            log.append(("tail", s.start, threading.current_thread().name,
+                        threading.active_count()))
+        args = (head, tail, 6, 2, 0)
+        assert (serially(run_chain, *args) if inside else run_chain(*args)) == 3
+        assert log == [(kind, lo, me, before) for lo in (0, 2, 4) for kind in ("head", "tail")]
+
+    def test_nothing_to_run(self, monkeypatch):
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 2)
+        ran = []
+        carry = object()
+        assert run_chain(lambda s, c: ran.append(s), lambda s: ran.append(s), 0, 4,
+                         carry) is carry
+        assert ran == []
 
 
 class TestFirstNonFinite:

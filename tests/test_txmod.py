@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fcssk import ConfigError, encode, ideal_deviation_track, modulate, reference_chirp
+from fcssk import (ConfigError, derive_params, encode, ideal_deviation_track, modulate,
+                   reference_chirp, sigcore)
 from fcssk.codec import CodedFrame
-from fcssk.txmod import make_mod_params, modulated_frequency, peak_deviation
-from if_reference import instantaneous_frequency
+from fcssk.sigcore import PARALLEL_BLOCK
+from fcssk.txmod import make_mod_params, peak_deviation
+from if_reference import instantaneous_frequency, modulated_frequency, synthesize
 
 
 class TestModParams:
@@ -71,6 +73,30 @@ class TestSawtooth:
             got = modulated_frequency(frame, one_sample)
             want = self.dense_formula(frame, one_sample)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t
+
+
+class TestBlockSums:
+    """``modulate`` sums its slopes and phase block by block, without a
+    full-length IF track, to the bits of the synthesized track."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("code", ["manchester", "6b8b"])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_modulate_is_the_synthesized_if_track(self, chirp, monkeypatch, rng, cpus, code,
+                                                  odd):
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
+        mp = make_mod_params(chirp, code, 128)     # coded bits of 256 and 384 samples
+        if odd:
+            # N = 16383: blocks straddle period boundaries, and neither
+            # coded-bit length (255, 383) divides the period or the block
+            mp = replace(mp, chirp=derive_params(1000.0, 3.0, 49149),
+                         coded_bit_len=mp.coded_bit_len - 1)
+        for k in (0, 1, 2, 3 * PARALLEL_BLOCK // mp.coded_bit_len + 7):
+            frame = CodedFrame(bits=rng.integers(0, 2, k), code=code,
+                               coded_bit_len=mp.coded_bit_len)
+            want = synthesize(modulated_frequency(frame, mp), mp.chirp.fs).samples
+            got = modulate(frame, mp).samples
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), k
 
 
 class TestIdealDeviation:
