@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from . import sigcore
 from .errors import ConfigError
 from .sigcore import ChirpParams, IqBuffer, reference_tail
 
@@ -21,8 +22,6 @@ from .sigcore import ChirpParams, IqBuffer, reference_tail
 STREAM_BITS = 1
 STREAM_NOISE = 2
 STREAM_DELAY = 3
-
-AWGN_CHUNK = 1 << 16   # samples per noise draw
 
 
 def derived_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -53,10 +52,11 @@ def apply_awgn(buf: IqBuffer, snr_db: float | None, rng: np.random.Generator) ->
     an SNR whose noise power overflows a float (below about -3083 dB)
     raise ConfigError.
 
-    All of I is drawn, then all of Q, each in AWGN_CHUNK-sample pieces
-    straight into the one complex output, which is then scaled and has
-    the signal added in place.  A draw split into pieces is the same draw,
-    so the result equals ``samples + scale * (I + 1j*Q)`` bit for bit.
+    All of I is drawn, then all of Q, each in pieces of
+    ``sigcore.PARALLEL_BLOCK`` samples straight into the one complex
+    output, which is then scaled and has the signal added in place.  A
+    draw split into pieces is the same draw, so the result equals
+    ``samples + scale * (I + 1j*Q)`` bit for bit.
     """
     if snr_db is None or snr_db == np.inf:
         return buf
@@ -64,12 +64,12 @@ def apply_awgn(buf: IqBuffer, snr_db: float | None, rng: np.random.Generator) ->
         raise ConfigError(f"SNR must be a finite number of dB or +inf, got {snr_db}")
     sigma2 = db_to_linear(-float(snr_db))
     scale = np.sqrt(sigma2 / 2.0)
-    n = len(buf.samples)
+    n, size = len(buf.samples), sigcore.PARALLEL_BLOCK
     noise = np.empty(n, dtype=np.complex128)
-    chunk = np.empty(min(n, AWGN_CHUNK))   # standard_normal(out=) needs a contiguous array
+    chunk = np.empty(min(n, size))   # standard_normal(out=) needs a contiguous array
     for quadrature in (noise.real, noise.imag):
-        for lo in range(0, n, AWGN_CHUNK):
-            draw = chunk[:min(AWGN_CHUNK, n - lo)]
+        for lo in range(0, n, size):
+            draw = chunk[:min(size, n - lo)]
             rng.standard_normal(out=draw)
             quadrature[lo:lo + len(draw)] = draw
     noise *= scale

@@ -300,10 +300,7 @@ def main(argv=None) -> int:
         args.command_parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
-    except FcsskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FcsskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sigcore
 from .errors import ConfigError
-from .sigcore import (PARALLEL_BLOCK, UNWRAP_BLOCK, IqBuffer, parallel_workers,
-                      periodic_reference, run_blocks, run_chain, run_parallel, unwrap_step)
+from .sigcore import IqBuffer, periodic_reference, run_blocks, run_chain, unwrap_step
 from .txmod import ModParams, peak_deviation
 
 LOWPASS_SPAN_S = 128 / 65536  # lowpass length, s: 128 sample intervals at 65536 S/s
@@ -36,8 +36,6 @@ MIN_CUTOFF_HZ = 64.0
 MAX_SLOPE_LAG = math.pi / 2   # rad: half the phase detector's range, half kept for noise
 SLIP_TAIL = 1e-20     # step-response magnitude below which a slip's effect ends
 SLIP_SCAN = 8192      # samples checked per step of the cycle-slip scan
-OVERLAP_SAVE_SPAN = 1 << 17   # input samples per batched FFT of the overlap-save blocks
-LLS_WINDOW_CHUNK = 4096       # windows per batched np.matvec of the LLS fit
 TWO_PI = 2.0 * math.pi
 
 
@@ -183,14 +181,15 @@ def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
     (x * conj(ref)) * h when ``ref`` (as long as ``x``) is given.
 
     ``spectrum`` is rfft(h, nfft) for real input and fft(h, nfft) for
-    complex input.  The blocks go through batched FFTs in groups of about
-    OVERLAP_SAVE_SPAN samples; each group is a view of ``x`` (a
-    zero-padded copy only at the two ends), or its product with the
-    reference span, and lands in one preallocated output, so the memory
-    beyond that output stays bounded.  With several workers, the groups
-    are that span split across them and run on ``run_parallel``, so the
-    temporaries in flight stay about one group.  Each block is its own
-    FFT, whatever its group, so the output does not depend on the split.
+    complex input.  The blocks go through batched FFTs on ``run_blocks``,
+    in groups of the fewest blocks that hold ``sigcore.PARALLEL_BLOCK``
+    output samples: an FFT call of one row ran about a quarter slower
+    per row than one of two, and the DPLL's blocks are nearly that long.
+    Each group is a view of ``x`` (a zero-padded copy only at the two
+    ends), or its product with the reference span, and lands in one
+    preallocated output, so the temporaries in flight stay about one
+    group per worker.  Each block is its own FFT, whatever its group, so
+    the output does not depend on the split.
     """
     n, taps = len(x), len(h)
     keep = nfft - taps + 1
@@ -199,14 +198,12 @@ def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
         forward, inverse = np.fft.fft, np.fft.ifft
     else:
         forward, inverse = np.fft.rfft, np.fft.irfft
-    group = max(OVERLAP_SAVE_SPAN // keep // parallel_workers(), 1)   # blocks per batched FFT
     total = -(-n // keep)
     out = np.empty((total, keep), dtype=dtype)
 
-    def convolve(first: int) -> None:
-        blocks = min(group, total - first)
-        lo = first * keep + lag - (taps - 1)       # index in x of the group's first sample
-        hi = lo + blocks * keep + taps - 1
+    def convolve(group: slice) -> None:
+        lo = group.start * keep + lag - (taps - 1)   # index in x of the group's first sample
+        hi = group.stop * keep + lag
         a, b = max(lo, 0), min(hi, n)               # the part of the span inside x
         if ref is None and (a, b) == (lo, hi):
             span = x[lo:hi]
@@ -220,8 +217,8 @@ def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
         segments = np.lib.stride_tricks.sliding_window_view(span, nfft)[::keep]
         product = forward(segments, axis=1)
         product *= spectrum
-        out[first:first + blocks] = inverse(product, nfft, axis=1)[:, taps - 1:]
-    run_parallel(convolve, range(0, total, group))
+        out[group] = inverse(product, nfft, axis=1)[:, taps - 1:]
+    run_blocks(convolve, total, -(-sigcore.PARALLEL_BLOCK // keep))
     return out.reshape(-1)[:n]
 
 
@@ -260,20 +257,21 @@ def dpll_track(bb: IqBuffer, p: DpllParams) -> np.ndarray:
     error.  The loop error is the overlap-save output, and v is built
     in it, its integral a running ``cumsum`` carried from block to block
     (a block that begins ``block[0] += carry`` sums to the same bits).
+    Blocks are ``sigcore.PARALLEL_BLOCK`` samples.
     """
-    n, fs = len(bb.samples), bb.fs
+    n, fs, size = len(bb.samples), bb.fs, sigcore.PARALLEL_BLOCK
     g, spectrum, nfft = _loop_kernel(p.c1, p.c2)
     step = _angle(bb.samples, np.empty(n))
     del bb
-    before = np.zeros(-(-n // PARALLEL_BLOCK))    # the phase before each block
-    before[1:] = step[PARALLEL_BLOCK - 1:-1:PARALLEL_BLOCK]
+    before = np.zeros(-(-n // size))    # the phase before each block
+    before[1:] = step[size - 1:-1:size]
 
     def wrap(s: slice) -> None:
         block = step[s]
-        increment = np.diff(block, prepend=before[s.start // PARALLEL_BLOCK])
+        increment = np.diff(block, prepend=before[s.start // size])
         increment -= TWO_PI * np.round(increment / TWO_PI)
         block[:] = increment
-    run_blocks(wrap, n)
+    run_blocks(wrap, n, size)
     err = _overlap_save(step, g, spectrum, nfft)
     del step
     pos = 0
@@ -290,8 +288,8 @@ def dpll_track(bb: IqBuffer, p: DpllParams) -> np.ndarray:
         err[k:stop] -= (TWO_PI * cycles) * g[:stop - k]
         pos = k + 1
     carry = 0.0           # sum(e[:lo])
-    for lo in range(0, n, PARALLEL_BLOCK):
-        block = err[lo:lo + PARALLEL_BLOCK]       # e, becomes v in place
+    for lo in range(0, n, size):
+        block = err[lo:lo + size]       # e, becomes v in place
         integral = block.copy()
         if lo:
             integral[0] += carry
@@ -344,23 +342,23 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> np.ndarray:
     spans the whole input.  The operator has rank ``degree``, so every
     window goes through its two factors: one batched ``np.matvec`` over a
     strided view of the phase fits the coefficients of a run of windows,
-    a second evaluates their derivatives, at most LLS_WINDOW_CHUNK
-    windows at a time, so the coefficients between the two stay
-    block-sized.  Neither is a BLAS-3 product, which would wake (and
-    leave spinning) a threaded BLAS on every call.
+    a second evaluates their derivatives, one block's windows at a time,
+    so the coefficients between the two stay block-sized.  Neither is a
+    BLAS-3 product, which would wake (and leave spinning) a threaded BLAS
+    on every call.
 
     The phase runs block by block on ``run_blocks``.  The unwrap, a
-    running sum, runs as the heads of ``run_chain``, UNWRAP_BLOCK samples
-    each, in order; each block's tail fits the windows whose last sample
-    lies in it, which the heads before it have unwrapped, beside the
-    next block's unwrap.  ``np.matvec`` releases the interpreter lock,
-    so a fit overlaps an unwrap, though two fits at once ran no faster
-    than one.  The two edge windows are fitted after the chain.  Each
-    window's fit does not depend on the run it is batched in, so the
-    track does not depend on the split.  Beyond the output, the
-    full-length array is the phase alone: ``bb`` is dropped once the
-    phase is taken, so a baseband handed over inline is freed before
-    the track.
+    running sum, runs as the heads of ``run_chain``, one
+    ``sigcore.PARALLEL_BLOCK``-sample block each, in order; each block's
+    tail fits the windows whose last sample lies in it, which the heads
+    before it have unwrapped, beside the next block's unwrap.
+    ``np.matvec`` releases the interpreter lock, so a fit overlaps an
+    unwrap, though two fits at once ran no faster than one.  The two edge
+    windows are fitted after the chain.  Each window's fit does not
+    depend on the run it is batched in, so the track does not depend on
+    the split.  Beyond the output, the full-length array is the phase
+    alone: ``bb`` is dropped once the phase is taken, so a baseband
+    handed over inline is freed before the track.
     """
     if p.degree < 2:
         raise ConfigError("polynomial degree must be >= 2")
@@ -390,12 +388,10 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> np.ndarray:
         # window k ends at sample k*hop + window - 1; this block unwrapped
         # samples 1 + s.start .. s.stop
         first = max(-((window - 2 - s.start) // hop), 0)
-        last = min((s.stop - window + 1) // hop + 1, len(windows))
-        for lo in range(first, last, LLS_WINDOW_CHUNK):
-            chunk = slice(lo, min(lo + LLS_WINDOW_CHUNK, last))
-            np.matvec(deriv[lead:lead + hop], np.matvec(proj, windows[chunk]), out=rows[chunk])
-            rows[chunk] *= gain
-    run_chain(unwrap, fit, total - 1, UNWRAP_BLOCK, (0.0, float(phi[0])))
+        mine = slice(first, min((s.stop - window + 1) // hop + 1, len(windows)))
+        np.matvec(deriv[lead:lead + hop], np.matvec(proj, windows[mine]), out=rows[mine])
+        rows[mine] *= gain
+    run_chain(unwrap, fit, total - 1, sigcore.PARALLEL_BLOCK, (0.0, float(phi[0])))
     out[:lead] = np.matvec(deriv[:lead], np.matvec(proj, phi[:window]))
     out[:lead] *= gain
     if stop < total:

@@ -37,7 +37,9 @@ import numpy as np
 from .errors import AliasingError, ConfigError
 
 
-PARALLEL_BLOCK = 1 << 16   # samples per block of a block-split stage
+# samples per block of every block-split stage, read when a split runs;
+# no split changes a bit of any output
+PARALLEL_BLOCK = 1 << 16
 
 _SERIAL = threading.local()   # .on: run_parallel keeps its items in this thread
 
@@ -113,9 +115,11 @@ def run_parallel(fn, items) -> list:
     return results
 
 
-def run_blocks(fn, n: int, block: int = PARALLEL_BLOCK) -> list:
+def run_blocks(fn, n: int, block: int | None = None) -> list:
     """``run_parallel(fn, ...)`` over consecutive slices of ``range(n)``,
-    ``block`` long (the last one shorter): samples, or rows of a 2-D array."""
+    ``block`` (by default PARALLEL_BLOCK) long, the last one shorter:
+    samples, or rows of a 2-D array."""
+    block = PARALLEL_BLOCK if block is None else block
     return run_parallel(fn, [slice(lo, min(lo + block, n)) for lo in range(0, n, block)])
 
 
@@ -127,8 +131,9 @@ def run_chain(head, tail, n: int, block: int, carry):
     Each head starts after the one before it has returned, on whichever
     worker took its slice, and that worker runs the slice's tail right
     after it, so the heads form one running sum (a phase sum, an unwrap)
-    while the tails of earlier slices run on the other workers.  The items run on ``run_blocks``: with one worker (and so
-    inside ``serially``) they run inline as head 0, tail 0, head 1, ...
+    while the tails of earlier slices run on the other workers.  The
+    items run on ``run_blocks``: with one worker (and so inside
+    ``serially``) they run inline as head 0, tail 0, head 1, ...
     and no thread starts.  A head or tail that raises wakes every worker
     waiting for its turn, no later head runs, and the failure is raised.
     """
@@ -170,9 +175,8 @@ class ChirpParams:
     """Static chirp configuration and its derived constants."""
 
     b0: float        # chirp bandwidth, Hz
-    rep_rate: float  # chirp repetitions per second, Hz
     fs: int          # sampling rate, samples/s
-    n: int           # samples per chirp repetition
+    n: int           # samples per chirp repetition (fs / n repetitions per second)
     k0: float        # nominal slope, Hz per sample
 
 
@@ -208,8 +212,7 @@ def derive_params(b0: float, rep_rate: float, fs: int, strict: bool = False) -> 
             raise ConfigError(f"strict mode: rep_rate must be in [2, 4] Hz, got {rep_rate}")
         if b0 < 700.0:
             raise ConfigError(f"strict mode: b0 must be >= 700 Hz, got {b0}")
-    return ChirpParams(b0=float(b0), rep_rate=float(rep_rate), fs=int(fs),
-                       n=n, k0=float(b0) / n)
+    return ChirpParams(b0=float(b0), fs=int(fs), n=n, k0=float(b0) / n)
 
 
 def synthesize_chain(sums, out: np.ndarray, fs: int, block: int, carry):
@@ -338,9 +341,6 @@ def unwrap_correction(step: np.ndarray) -> np.ndarray:
     dmod[(dmod == -np.pi) & (step > 0)] = np.pi   # numpy's tie rule: a +pi step stays +pi
     dmod -= step
     return dmod
-
-
-UNWRAP_BLOCK = 1 << 16   # samples per block of the unwrap
 
 
 def unwrap_step(block: np.ndarray, carry: tuple[float, float]) -> tuple[float, float]:

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import sigcore
 from .errors import ConfigError, SyncError
-from .sigcore import (PARALLEL_BLOCK, ChirpParams, IqBuffer, periodic_reference, run_blocks,
-                      unwrap_correction)
+from .sigcore import ChirpParams, IqBuffer, periodic_reference, run_blocks, unwrap_correction
 
 # periods of the incoming stream used for spectra / boundary slips
 MAX_COARSE_PERIODS = 64
@@ -78,7 +78,7 @@ def _mixed_periodogram(rx: np.ndarray, params: ChirpParams, start: int,
         z = np.conj(ref[r], out=spectra[r])
         np.multiply(x[r], z, out=z)              # rx first, as in a full-array product
         np.fft.fft(z, axis=1, out=z)
-    run_blocks(rows, periods, max(PARALLEL_BLOCK // n, 1))
+    run_blocks(rows, periods, max(sigcore.PARALLEL_BLOCK // n, 1))
     power = np.abs(spectra)
     power **= 2
     return power.mean(axis=0)
@@ -156,7 +156,7 @@ def _measure_slips(rx: np.ndarray, params: ChirpParams, t0: int, guard: int) -> 
         probes = phase[:, cols] + offsets[row, before]
         far_pre, near_pre, near_post, far_post = probes.mean(axis=-1).T
         return (near_post - near_pre) - 0.5 * ((near_pre - far_pre) + (far_post - near_post))
-    slip = np.concatenate(run_blocks(slips, count, max(PARALLEL_BLOCK // width, 1)))
+    slip = np.concatenate(run_blocks(slips, count, max(sigcore.PARALLEL_BLOCK // width, 1)))
     d = float(np.mean(slip * fs / (2.0 * np.pi * b0)))
     # a pass is only valid for |d| < guard; clamp runaway noise estimates
     return float(np.clip(d, -guard, guard))

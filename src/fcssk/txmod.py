@@ -13,9 +13,10 @@ from itertools import groupby
 
 import numpy as np
 
+from . import sigcore
 from .codec import CodedFrame, get_code_spec
 from .errors import ConfigError
-from .sigcore import PARALLEL_BLOCK, ChirpParams, IqBuffer, synthesize_chain
+from .sigcore import ChirpParams, IqBuffer, synthesize_chain
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def modulate(frame: CodedFrame, mp: ModParams) -> IqBuffer:
         phase[0] += phase_sum
         np.cumsum(phase, out=phase)
         return slope_sum, float(phase[-1])
-    synthesize_chain(phase_sums, out, fs, PARALLEL_BLOCK, (0.0, 0.0))
+    synthesize_chain(phase_sums, out, fs, sigcore.PARALLEL_BLOCK, (0.0, 0.0))
     return IqBuffer(samples=out, fs=fs)
 
 

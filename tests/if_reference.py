@@ -13,7 +13,8 @@ import numpy as np
 
 from fcssk.codec import CodedFrame
 from fcssk.errors import ConfigError
-from fcssk.sigcore import UNWRAP_BLOCK, ChirpParams, IqBuffer, unwrap_step
+from fcssk import sigcore
+from fcssk.sigcore import ChirpParams, IqBuffer, unwrap_step
 from fcssk.txmod import ModParams, _coded_bit_slopes
 
 
@@ -52,14 +53,16 @@ def modulated_frequency(frame: CodedFrame, mp: ModParams) -> np.ndarray:
 
 def unwrap_in_place(phase: np.ndarray) -> None:
     """Write ``np.unwrap(phase)`` into ``phase``, bit for bit, for a finite
-    1-D float64 array: sample 0 as it is, then blocks of UNWRAP_BLOCK
-    samples through ``unwrap_step``, carrying the running correction and
-    the last wrapped sample across each block edge."""
+    1-D float64 array: sample 0 as it is, then blocks of
+    ``sigcore.PARALLEL_BLOCK`` samples through ``unwrap_step``, carrying
+    the running correction and the last wrapped sample across each block
+    edge."""
     if len(phase) < 2:
         return
     carry = (0.0, float(phase[0]))
-    for lo in range(1, len(phase), UNWRAP_BLOCK):
-        carry = unwrap_step(phase[lo:lo + UNWRAP_BLOCK], carry)
+    block = sigcore.PARALLEL_BLOCK
+    for lo in range(1, len(phase), block):
+        carry = unwrap_step(phase[lo:lo + block], carry)
 
 
 def reference_frequency(params: ChirpParams, n_samples: int) -> np.ndarray:

@@ -3,7 +3,8 @@ import pytest
 
 from fcssk import ConfigError, IqBuffer, apply_awgn, apply_delay, derived_rng
 from fcssk import reference_chirp
-from fcssk.channel import AWGN_CHUNK, STREAM_NOISE
+from fcssk.channel import STREAM_NOISE
+from fcssk.sigcore import PARALLEL_BLOCK
 from if_reference import instantaneous_frequency
 
 
@@ -43,8 +44,8 @@ class TestAwgn:
         n = len(buf.samples)
         return buf.samples + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
-    @pytest.mark.parametrize("n", [0, 1, AWGN_CHUNK - 1, AWGN_CHUNK, AWGN_CHUNK + 1,
-                                   3 * AWGN_CHUNK + 5])
+    @pytest.mark.parametrize("n", [0, 1, PARALLEL_BLOCK - 1, PARALLEL_BLOCK, PARALLEL_BLOCK + 1,
+                                   3 * PARALLEL_BLOCK + 5])
     @pytest.mark.parametrize("use_generator", [True, False])
     def test_chunked_draw_is_one_draw(self, chirp, n, use_generator):
         buf = IqBuffer(np.exp(1j * np.random.default_rng(n).uniform(-4.0, 4.0, n)), chirp.fs)
@@ -85,7 +86,7 @@ class TestDelay:
         mixed = rx.samples[:chirp.n] * np.conj(reference_chirp(chirp, 1).samples)
         spectrum = np.abs(np.fft.fft(mixed))
         peak = np.fft.fftfreq(chirp.n, 1.0 / chirp.fs)[np.argmax(spectrum)]
-        assert peak == pytest.approx(-64.0, abs=chirp.rep_rate)
+        assert peak == pytest.approx(-64.0, abs=chirp.fs / chirp.n)
 
     def test_output_is_steady_state_stream(self, chirp):
         # the prefixed stream has no IF discontinuity at the junction

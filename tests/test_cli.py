@@ -611,12 +611,12 @@ class TestBlockStages:
 
     @pytest.fixture(scope="class")
     def burst(self, man128):
-        # over three overlap-save groups of the serial split
+        # over six overlap-save groups
         rng = np.random.default_rng(11)
-        bits = rng.integers(0, 2, 3 * ifest.OVERLAP_SAVE_SPAN // man128.m + 5)
+        bits = rng.integers(0, 2, 6 * sigcore.PARALLEL_BLOCK // man128.m + 5)
         clean = fcssk.modulate(fcssk.encode(bits, "manchester", man128.coded_bit_len), man128)
         rx = fcssk.apply_awgn(fcssk.apply_delay(clean, 3000, man128.chirp), 5.0, rng)
-        assert len(rx) > 3 * ifest.OVERLAP_SAVE_SPAN
+        assert len(rx) > 6 * sigcore.PARALLEL_BLOCK
         return bits, rx
 
     def test_stages_do_not_depend_on_worker_count(self, burst, man128, monkeypatch, tmp_path):
@@ -662,6 +662,49 @@ class TestBlockStages:
         assert outputs[0] == outputs[1] == outputs[2]
         got = read_bits(decoded)
         assert len(got) == len(bits) and np.count_nonzero(got != bits) < len(bits) // 100
+
+
+class TestBlockSize:
+    """Every block split reads sigcore.PARALLEL_BLOCK when it runs, and no
+    split changes a bit: a burst of five chirp periods gives the same
+    outputs with the block size at 4099 and at 16383 (one sample short of
+    a period), on one CPU and on two, as with the default size."""
+
+    @staticmethod
+    def outputs(man128, bits, path):
+        frame = fcssk.encode(bits, "manchester", man128.coded_bit_len)
+        tx = fcssk.modulate(frame, man128)
+        noisy = fcssk.apply_awgn(tx, 0.0, np.random.default_rng(5))
+        rx = fcssk.apply_delay(noisy, 3000, man128.chirp)
+        estimate = sync.estimate_timing(rx, man128.chirp)
+        bb = ifest.downconvert(rx, man128)
+        write_cf32(path, tx.samples)
+        return [tx.samples, noisy.samples, np.array([estimate.tau_hat, estimate.confidence]),
+                bb.samples, ifest.dpll_track(bb, ifest.default_dpll(man128)),
+                ifest.lls_track(bb, ifest.LlsParams(window_len=man128.coded_bit_len)),
+                *(receive_chain(capture, man128, estimator, use_sync)
+                  for estimator in chain.ESTIMATORS
+                  for capture, use_sync in ((rx, True), (noisy, False))),
+                np.frombuffer(path.read_bytes(), dtype=np.uint64)]
+
+    @pytest.fixture(scope="class")
+    def burst(self, man128, tmp_path_factory):
+        bits = np.random.default_rng(19).integers(0, 2, 5 * man128.chirp.n // man128.m + 3)
+        return bits, self.outputs(man128, bits, tmp_path_factory.mktemp("default") / "tx.cf32")
+
+    @pytest.mark.parametrize("size", [4099, 16383])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_outputs_do_not_depend_on_block_size(self, burst, man128, monkeypatch, tmp_path,
+                                                 size, cpus):
+        bits, want = burst
+        assert len(want[0]) > sigcore.PARALLEL_BLOCK    # two default blocks
+        monkeypatch.setattr(sigcore, "PARALLEL_BLOCK", size)
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sigcore, "_PERIODIC_CACHE", {})   # the reference built in blocks too
+        got = self.outputs(man128, bits, tmp_path / "tx.cf32")
+        assert len(got) == len(want)
+        for k, (a, b) in enumerate(zip(want, got)):
+            assert a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64)), k
 
 
 @pytest.mark.parametrize("command", ["simulate", "theory"])

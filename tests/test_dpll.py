@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from fcssk import ifest
 from fcssk import (ConfigError, DpllParams, IqBuffer, apply_awgn, decide,
                    downconvert, dpll_track, encode, make_dpll_params, make_mod_params,
                    modulate)
@@ -87,6 +88,19 @@ def test_in_place_track_is_the_whole_array_formula(chirp):
     want *= bb.fs / TWO_PI
     assert len(want) > 10 * PARALLEL_BLOCK
     assert bytes(dpll_track(bb, p)) == bytes(want)
+
+
+def test_slip_scan_does_not_depend_on_its_window(chirp, monkeypatch):
+    """The cycle-slip scan applies each slip before it looks for the next,
+    so the window it checks per step changes no bit of the track."""
+    bb, mp, _ = received_baseband(chirp, "manchester", 128, -16.0, seed=5, n_bits=400)
+    p = make_dpll_params(chirp.fs, default_f_nat(mp))
+    assert reference_dpll(bb, p)[1] >= 10     # slips to apply
+    assert ifest.SLIP_SCAN == 8192
+    want = dpll_track(bb, p)
+    for scan in (1, 97, len(want)):
+        monkeypatch.setattr(ifest, "SLIP_SCAN", scan)
+        assert np.array_equal(dpll_track(bb, p).view(np.uint64), want.view(np.uint64)), scan
 
 
 def test_empty_input(chirp):

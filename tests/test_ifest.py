@@ -6,11 +6,10 @@ import pytest
 from fcssk import (ConfigError, IqBuffer, LlsParams, apply_awgn, decide,
                    derive_params, downconvert, dpll_response, dpll_track, encode,
                    lls_track, make_dpll_params, modulate, reference_chirp)
-from fcssk import ifest
-from fcssk.ifest import (LLS_WINDOW_CHUNK, OVERLAP_SAVE_SPAN, _fft_size, _lls_design,
-                         _overlap_save, default_cutoff, default_dpll, default_f_nat,
-                         design_lowpass)
-from fcssk.sigcore import periodic_reference
+from fcssk import ifest, sigcore
+from fcssk.ifest import (_fft_size, _lls_design, _overlap_save, default_cutoff, default_dpll,
+                         default_f_nat, design_lowpass)
+from fcssk.sigcore import PARALLEL_BLOCK, periodic_reference
 from fcssk.txmod import make_mod_params
 from if_reference import unwrap_phase
 
@@ -189,10 +188,12 @@ class TestLlsFactorization:
         np.testing.assert_allclose(lls_track(bb, p), dense_lls_track(bb, p),
                                    rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("total", [8 * LLS_WINDOW_CHUNK + 24, 8 * LLS_WINDOW_CHUNK + 35,
-                                       3 * 8 * LLS_WINDOW_CHUNK + 5])
-    def test_chunked_matvec_is_one_matvec(self, chirp, rng, total):
-        # window 32, hop 8: one chunk of windows exactly, one window more, about three
+    @pytest.mark.parametrize("total", [PARALLEL_BLOCK // 2 + 24, PARALLEL_BLOCK // 2 + 35,
+                                       3 * PARALLEL_BLOCK // 2 + 5])
+    def test_chunked_matvec_is_one_matvec(self, chirp, rng, total, monkeypatch):
+        # window 32, hop 8, blocks of 4096 windows: one block of windows
+        # exactly, one window more, about three
+        monkeypatch.setattr(sigcore, "PARALLEL_BLOCK", PARALLEL_BLOCK // 2)
         bb = IqBuffer(rng.standard_normal(total) + 1j * rng.standard_normal(total), chirp.fs)
         p = LlsParams(window_len=32)
         window, hop = 32, 8
@@ -292,12 +293,12 @@ class TestDownconvert:
     @pytest.mark.parametrize("fs", [16384, 65536])
     def test_matches_direct_convolution(self, fs):
         mp = make_mod_params(derive_params(1024.0, 4.0, fs), "manchester", 128)
-        n_bits = 2 * OVERLAP_SAVE_SPAN // (2 * mp.coded_bit_len) + 40   # several FFT groups
+        n_bits = 2 * PARALLEL_BLOCK // mp.coded_bit_len + 40   # several FFT groups
         bits = np.random.default_rng(fs).integers(0, 2, n_bits)
         clean = modulate(encode(bits, "manchester", mp.coded_bit_len), mp)
         rx = apply_awgn(clean, 0.0, np.random.default_rng(7))
         taps = len(design_lowpass(default_cutoff(mp), fs))
-        assert len(rx) > 2 * OVERLAP_SAVE_SPAN
+        assert len(rx) > 4 * PARALLEL_BLOCK
         got, want = downconvert(rx, mp).samples, self.direct(rx, mp)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         for track in (lambda bb: lls_track(bb, LlsParams(window_len=mp.coded_bit_len)),
@@ -321,12 +322,12 @@ class TestDownconvert:
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     def test_group_mix_is_the_full_product(self, man128, dtype):
-        n_bits = 2 * OVERLAP_SAVE_SPAN // man128.m + 7    # three FFT groups, the last partial
+        n_bits = 4 * PARALLEL_BLOCK // man128.m + 7    # over four FFT groups, the last partial
         bits = np.random.default_rng(3).integers(0, 2, n_bits)
         clean = modulate(encode(bits, "manchester", man128.coded_bit_len), man128)
         noisy = apply_awgn(clean, 2.0, np.random.default_rng(4)).samples.astype(dtype)
         taps = len(design_lowpass(default_cutoff(man128), man128.chirp.fs))
-        for n in (len(noisy), OVERLAP_SAVE_SPAN, _fft_size(taps) // 2, taps // 2, 1):
+        for n in (len(noisy), 2 * PARALLEL_BLOCK, _fft_size(taps) // 2, taps // 2, 1):
             rx = IqBuffer(noisy[:n], man128.chirp.fs)
             got, want = downconvert(rx, man128).samples, self.full_product(rx, man128)
             assert got.dtype == want.dtype == np.complex128

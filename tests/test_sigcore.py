@@ -11,7 +11,7 @@ from fcssk import AliasingError, ConfigError, IqBuffer, derive_params, reference
 from fcssk import sigcore
 from fcssk.codec import CodedFrame
 from fcssk.channel import apply_delay
-from fcssk.sigcore import (PARALLEL_BLOCK, UNWRAP_BLOCK, first_non_finite, parallel_workers,
+from fcssk.sigcore import (PARALLEL_BLOCK, first_non_finite, parallel_workers,
                            periodic_reference, reference_tail, run_blocks, run_chain,
                            run_parallel, serially)
 from if_reference import (instantaneous_frequency, modulated_frequency, reference_frequency,
@@ -253,13 +253,13 @@ class TestInPlaceSynthesis:
 
 
 class TestUnwrapInPlace:
-    """Blocks of UNWRAP_BLOCK samples start at samples 1, 1 + B, 1 + 2B, ...:
+    """Blocks of PARALLEL_BLOCK samples start at samples 1, 1 + B, 1 + 2B, ...:
     the step into a block's first sample crosses the edge."""
 
     @pytest.mark.parametrize("jump", [np.pi, -np.pi, 2.5 * np.pi, -6.0, 0.5])
     @pytest.mark.parametrize("shift", [-1, 0, 1])
     def test_matches_numpy_across_block_edges(self, jump, shift):
-        b = UNWRAP_BLOCK
+        b = PARALLEL_BLOCK
         rng = np.random.default_rng(11)
         phase = np.angle(np.exp(1j * np.cumsum(rng.uniform(-2.0, 2.0, 3 * b + 5))))
         for edge in (1 + b, 1 + 2 * b, 1 + 3 * b):
@@ -271,7 +271,8 @@ class TestUnwrapInPlace:
         assert same_bits(got, want)
         assert same_bits(unwrap_phase(phase), want)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, UNWRAP_BLOCK, UNWRAP_BLOCK + 1, UNWRAP_BLOCK + 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, PARALLEL_BLOCK, PARALLEL_BLOCK + 1,
+                                   PARALLEL_BLOCK + 2])
     def test_lengths_around_one_block(self, rng, n):
         phase = rng.uniform(-np.pi, np.pi, n)
         got = phase.copy()
