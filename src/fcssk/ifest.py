@@ -386,9 +386,11 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> np.ndarray:
 
     def fit(s: slice) -> None:
         # window k ends at sample k*hop + window - 1; this block unwrapped
-        # samples 1 + s.start .. s.stop
+        # samples 1 + s.start .. s.stop; a block shorter than a window may
+        # end none, and a negative stop must not count back from the end
         first = max(-((window - 2 - s.start) // hop), 0)
-        mine = slice(first, min((s.stop - window + 1) // hop + 1, len(windows)))
+        last = min((s.stop - window + 1) // hop + 1, len(windows))
+        mine = slice(first, max(last, first))
         np.matvec(deriv[lead:lead + hop], np.matvec(proj, windows[mine]), out=rows[mine])
         rows[mine] *= gain
     run_chain(unwrap, fit, total - 1, sigcore.PARALLEL_BLOCK, (0.0, float(phi[0])))

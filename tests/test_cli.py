@@ -667,8 +667,9 @@ class TestBlockStages:
 class TestBlockSize:
     """Every block split reads sigcore.PARALLEL_BLOCK when it runs, and no
     split changes a bit: a burst of five chirp periods gives the same
-    outputs with the block size at 4099 and at 16383 (one sample short of
-    a period), on one CPU and on two, as with the default size."""
+    outputs with the block size at 97 (shorter than the LLS window, so
+    most blocks end no window), 4099 and 16383 (one sample short of a
+    period), on one CPU and on two, as with the default size."""
 
     @staticmethod
     def outputs(man128, bits, path):
@@ -692,7 +693,7 @@ class TestBlockSize:
         bits = np.random.default_rng(19).integers(0, 2, 5 * man128.chirp.n // man128.m + 3)
         return bits, self.outputs(man128, bits, tmp_path_factory.mktemp("default") / "tx.cf32")
 
-    @pytest.mark.parametrize("size", [4099, 16383])
+    @pytest.mark.parametrize("size", [97, 4099, 16383])
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_outputs_do_not_depend_on_block_size(self, burst, man128, monkeypatch, tmp_path,
                                                  size, cpus):
