@@ -116,9 +116,9 @@ def downconvert(rx: IqBuffer, mp: ModParams) -> IqBuffer:
     """Mix against the local reference and lowpass the product at
     ``default_cutoff(mp)``, by overlap-save FFT convolution.
 
-    The mix runs per overlap-save group (``rx * conj(reference)`` over the
-    group's span), so the full-length arrays are the input, the cached
-    reference and the output alone.  ``rx`` may be complex64: widening
+    The mix runs per overlap-save group, against the reference span that
+    ``sigcore.conj_reference`` writes in place, so the full-length arrays
+    are the input and the output alone.  ``rx`` may be complex64: widening
     to complex128 is exact.  The FIR group delay of (taps-1)/2 samples is
     compensated by shifting the output, so the baseband stays
     sample-aligned with the input.
@@ -176,9 +176,9 @@ def _fft_size(taps: int) -> int:
 
 
 def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
-                  lag: int = 0, ref: np.ndarray | None = None) -> np.ndarray:
+                  lag: int = 0, ref: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Samples lag .. lag+len(x)-1 of the linear convolution x * h, or of
-    (x * conj(ref)) * h when ``ref`` (as long as ``x``) is given.
+    (x * conj(chirp)) * h for ``ref = periodic_reference(chirp, len(x))``.
 
     ``spectrum`` is rfft(h, nfft) for real input and fft(h, nfft) for
     complex input.  The blocks go through batched FFTs on ``run_blocks``,
@@ -193,7 +193,7 @@ def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
     """
     n, taps = len(x), len(h)
     keep = nfft - taps + 1
-    dtype = x.dtype if ref is None else np.result_type(x, ref)
+    dtype = x.dtype if ref is None else np.result_type(x, np.complex128)
     if np.issubdtype(dtype, np.complexfloating):
         forward, inverse = np.fft.fft, np.fft.ifft
     else:
@@ -212,7 +212,7 @@ def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
             if ref is None:
                 span[a - lo:b - lo] = x[a:b]
             else:
-                mixed = np.conj(ref[a:b], out=span[a - lo:b - lo])
+                mixed = sigcore.conj_reference(ref, a, span[a - lo:b - lo])
                 np.multiply(x[a:b], mixed, out=mixed)   # rx first: the full-array product's rounding
         segments = np.lib.stride_tricks.sliding_window_view(span, nfft)[::keep]
         product = forward(segments, axis=1)

@@ -15,19 +15,20 @@ Conventions used throughout the package:
 run through it, and so do the per-sample stages of one long burst, split
 into blocks that each write their own slice of a preallocated output.
 ``run_chain`` runs on it too: a running sum over a long burst (the
-transmitter's and the reference's phase sums, the unwrap) runs block by
-block in order as its heads, and each block's elementwise rest as its
-tail, beside the later heads.
+transmitter's phase sums, the unwrap) runs block by block in order as
+its heads, and each block's elementwise rest as its tail, beside the
+later heads.
 
-The unmodulated reference chirp is built period by period from one
-period's IF, with the phase sum carried across each wrap, and is cached
-per ``ChirpParams`` (``periodic_reference``); a longer request extends
-the cache by the missing periods, so no period is synthesized twice.
+The reference chirp is periodic up to a phase step per period, so it is
+held as its conjugate period 0, cached per ``ChirpParams``, and one
+conjugate phasor per period (``periodic_reference``); ``conj_reference``
+writes any span of it into a buffer the caller holds.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -245,46 +246,18 @@ def synthesize_chain(sums, out: np.ndarray, fs: int, block: int, carry):
     return run_chain(head, tail, len(out), block, carry)
 
 
-def _reference_periods(params: ChirpParams, out: np.ndarray, carry: float) -> float:
-    """Write whole reference periods into the zeroed complex128 ``out``,
-    continuing a phase sum ``carry`` (0.0 at transmission start), and
-    return the sum carried out of the last period.
-
-    Every period's IF is ``k0 * arange(N)``, which equals the sawtooth
-    ``k0 * (n mod N)`` bit for bit, so no full-length IF track is built.
-    Each period's sum starts at ``f[0] + carry``: ``f[0]`` is 0.0, so
-    that is the running sum a full-length ``cumsum`` carries across the
-    wrap, and the periods equal ``exp(1j * (2*pi/fs) * cumsum)`` of the
-    sawtooth bit for bit.  The sums run in order on ``synthesize_chain``,
-    in blocks of whole periods, beside the scale and exponential of the
-    blocks before.
-    """
-    n = params.n
-    f = np.arange(n, dtype=np.float64)
-    f *= params.k0
-
-    def period_sums(phase: np.ndarray, s: slice, carry: float) -> float:
-        for lo in range(0, len(phase), n):
-            f[0] = carry
-            np.cumsum(f, out=phase[lo:lo + n])
-            carry = float(phase[lo + n - 1])
-        return carry
-    return synthesize_chain(period_sums, out, params.fs, n * max(PARALLEL_BLOCK // n, 1), carry)
-
-
 def reference_chirp(params: ChirpParams, n_periods: int) -> IqBuffer:
     """Unmodulated linear chirp of ``n_periods`` repetitions.
 
     Within each period the IF rises from 0 to b0*(N-1)/N in steps of k0;
-    at every period boundary b0 is subtracted (sawtooth reset).  Built
-    period by period (``_reference_periods``): the output is the only
-    full-length array.
+    at every period boundary b0 is subtracted (sawtooth reset).  It is
+    the conjugate of ``conj_reference``'s output, the bits stages mix.
     """
     if n_periods < 1:
         raise ConfigError("n_periods must be >= 1")
-    out = np.zeros(n_periods * params.n, dtype=np.complex128)
-    _reference_periods(params, out, 0.0)
-    return IqBuffer(samples=out, fs=params.fs)
+    out = np.empty(n_periods * params.n, dtype=np.complex128)
+    conj_reference(periodic_reference(params, len(out)), 0, out)
+    return IqBuffer(samples=np.conj(out, out=out), fs=params.fs)
 
 
 def reference_tail(params: ChirpParams, n_samples: int) -> np.ndarray:
@@ -293,46 +266,73 @@ def reference_tail(params: ChirpParams, n_samples: int) -> np.ndarray:
 
     Used to model a receiver that starts listening mid-stream: appending a
     buffer whose first sample is 1+0j after this tail yields a
-    phase-continuous periodic chirp stream.  The period is the cached
-    first period of ``periodic_reference``.
+    phase-continuous periodic chirp stream.  The period is the conjugate
+    of ``periodic_reference``'s cached one.
     """
     if not 0 <= n_samples <= params.n:
         raise ConfigError(f"tail length must be in [0, {params.n}], got {n_samples}")
     if n_samples == 0:
         return np.zeros(0, dtype=np.complex128)
-    ref = periodic_reference(params, params.n)
+    conj_period = periodic_reference(params, 0)[0]
     # phase at the (virtual) next sample equals phase of the last one because
     # the post-wrap IF is exactly 0, so rotating by conj(last) lands at 0.
-    return ref[params.n - n_samples:] * np.conj(ref[params.n - 1])
+    return np.conj(conj_period[params.n - n_samples:]) * conj_period[params.n - 1]
 
 
-# per chirp: the cached periods, and the phase sum carried out of the last
-_PERIODIC_CACHE: dict[ChirpParams, tuple[np.ndarray, float]] = {}
-_PERIODIC_LOCK = threading.Lock()    # concurrent trials: each period built once
+# per chirp: the conjugate of period 0 (read-only), and fmod(S/fs, 1) for
+# the phase sum S that it carries into period 1
+_PERIODS: dict[ChirpParams, tuple[np.ndarray, float]] = {}
 
 
-def periodic_reference(params: ChirpParams, n_samples: int) -> np.ndarray:
-    """First ``n_samples`` of the endless periodic reference chirp (cached,
-    read-only).
+def periodic_reference(params: ChirpParams, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugate of the first ``n_samples`` of the endless periodic
+    reference chirp, as period 0 (cached, read-only) and one phasor per
+    period, for ``conj_reference`` to write any span of.
 
-    The cache holds whole periods.  A longer request synthesizes only the
-    missing periods, continuing the carried phase sum, into a new array
-    that starts with a copy of the cached ones; a caller asking for a
-    stream's full length at once saves that copy.
+    Period 0 is ``exp(1j * (2*pi/fs) * cumsum(k0 * arange(N)))``.  Each
+    period's phase sum starts where the one before ended, so period k is
+    period 0 turned by ``exp(1j * 2*pi * mod(k * frac, 1))``, ``frac``
+    being ``fmod(S/fs, 1)`` for period 0's sum S: in turns reduced mod 1
+    the phase stays within 1e-10 rad over hundreds of periods, where one
+    running ``cumsum`` drifts further.  Callers that build period 0 at
+    the same time build the same bits, and ``setdefault`` keeps one.
     """
     if n_samples < 0:
         raise ConfigError(f"reference length must be >= 0, got {n_samples}")
-    with _PERIODIC_LOCK:
-        cached, carry = _PERIODIC_CACHE.get(params, (np.zeros(0, dtype=np.complex128), 0.0))
-        have = len(cached)
-        if have < n_samples:
-            grown = np.zeros(-(-n_samples // params.n) * params.n, dtype=np.complex128)
-            grown[:have] = cached
-            carry = _reference_periods(params, grown[have:], carry)
-            grown.flags.writeable = False  # shared by every caller
-            cached = grown
-            _PERIODIC_CACHE[params] = cached, carry
-    return cached[:n_samples]
+    cached = _PERIODS.get(params)
+    if cached is None:
+        phase = np.arange(params.n, dtype=np.float64)
+        phase *= params.k0
+        np.cumsum(phase, out=phase)
+        period = np.conj(np.exp(1j * ((2.0 * np.pi / params.fs) * phase)))
+        period.flags.writeable = False    # shared by every caller
+        cached = _PERIODS.setdefault(params, (period, math.fmod(phase[-1] / params.fs, 1.0)))
+    conj_period, frac = cached
+    turns = np.mod(np.arange(-(-n_samples // params.n)) * frac, 1.0)
+    return conj_period, np.conj(np.exp(1j * (2.0 * np.pi) * turns))
+
+
+def conj_reference(ref: tuple[np.ndarray, np.ndarray], lo: int, out: np.ndarray) -> np.ndarray:
+    """Write the conjugate reference of samples ``lo .. lo+w-1`` into
+    the complex128 ``out`` of length w, from ``ref =
+    periodic_reference(...)``, and return it.  A 2-D ``out`` takes w
+    samples per row, each row one period after the row before.
+
+    Each period piece is the conjugate phasor times a slice of the
+    conjugate period, the phasor first: numpy's complex multiply is not
+    bitwise commutative, and in this order a piece equals
+    ``conj(phasor * period)`` bit for bit.
+    """
+    conj_period, conj_phasors = ref
+    n, rows, width = len(conj_period), out if out.ndim == 2 else out[None], out.shape[-1]
+    pos = 0
+    while pos < width:
+        k, j = divmod(lo + pos, n)
+        take = min(n - j, width - pos)
+        np.multiply(conj_phasors[k:k + len(rows), None], conj_period[j:j + take],
+                    out=rows[:, pos:pos + take])
+        pos += take
+    return out
 
 
 def unwrap_correction(step: np.ndarray) -> np.ndarray:

@@ -70,12 +70,12 @@ def _mixed_periodogram(rx: np.ndarray, params: ChirpParams, start: int,
     depending on where the allocator placed the arrays.
     """
     n = params.n
-    ref = periodic_reference(params, periods * n).reshape(periods, n)
+    ref = periodic_reference(params, periods * n)
     x = rx[start:start + periods * n].reshape(periods, n)
-    spectra = np.empty_like(ref)
+    spectra = np.empty((periods, n), dtype=np.complex128)
 
     def rows(r: slice) -> None:
-        z = np.conj(ref[r], out=spectra[r])
+        z = sigcore.conj_reference(ref, r.start * n, spectra[r])
         np.multiply(x[r], z, out=z)              # rx first, as in a full-array product
         np.fft.fft(z, axis=1, out=z)
     run_blocks(rows, periods, max(sigcore.PARALLEL_BLOCK // n, 1))
@@ -129,14 +129,15 @@ def _measure_slips(rx: np.ndarray, params: ChirpParams, t0: int, guard: int) -> 
         return 0.0
     lo = first * n - half
     hi = lo + (count - 1) * n + width
-    ref_windows = sliding_window_view(periodic_reference(params, hi)[lo:], width)[::n]
+    ref = periodic_reference(params, hi)
     rx_windows = sliding_window_view(rx[t0 + lo:t0 + hi], width)[::n]
     centers = half + guard * np.array([-3, -1, 1, 3])
     cols = centers[:, None] + np.arange(-SLIP_AVG, SLIP_AVG + 1)   # (4, 2*SLIP_AVG+1)
 
     def slips(r: slice) -> np.ndarray:
         rows = r.stop - r.start
-        seg = np.conj(ref_windows[r])
+        seg = sigcore.conj_reference(ref, lo + r.start * n,
+                                     np.empty((rows, width), dtype=np.complex128))
         # rx as the first operand, as in a per-window rx * conj(ref): same rounding
         np.multiply(rx_windows[r], seg, out=seg)
         phase = np.angle(seg)
@@ -185,10 +186,7 @@ def estimate_timing(rx: IqBuffer, params: ChirpParams) -> SyncEstimate:
     n = params.n
     if len(x) < n:
         raise ConfigError(f"need at least one period ({n} samples), got {len(x)}")
-    # the stream's reference, requested once at full length: the passes
-    # below, and a downconversion after them, read it from the cache, where
-    # a cache grown pass by pass would copy its periods at each step
-    periodic_reference(params, len(x))
+    # no full-length reference: each pass mixes the reference spans it reads
     p = _mixed_periodogram(x, params, 0, min(MAX_COARSE_PERIODS, len(x) // n))
     peak_bin = int(np.argmax(p))
     floor = _median(p)

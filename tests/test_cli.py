@@ -251,21 +251,22 @@ class TestDemodulateCommand:
         return peak / (16 * n)
 
     def test_peak_memory_of_a_long_lls_capture(self, long_capture, tmp_path):
-        """Demodulating 2.1 M samples allocates under 2.8 complex128 copies
+        """Demodulating 2.1 M samples allocates under 1.9 complex128 copies
         of the capture at its peak.  Downconversion sets it: the capture
-        (complex64, half a copy), the cached reference and the baseband
-        (one each), and block-sized temporaries.  The capture is freed
-        after downconversion and the baseband once the estimator holds
-        its phase, so the phase and the track (half a copy each) run
-        beside the reference alone."""
+        (complex64, half a copy), the baseband (one copy) and block-sized
+        temporaries; the reference is one cached period and a phasor per
+        period.  The capture is freed after downconversion and the
+        baseband once the estimator holds its phase, so the phase and the
+        track (half a copy each) run alone."""
         copies = self.traced_copies(long_capture, tmp_path, "lls")
-        assert copies < 2.8, copies
+        assert copies < 1.9, copies
 
     def test_peak_memory_of_a_long_dpll_capture(self, long_capture, tmp_path):
-        """The DPLL twin of the LLS bound: its phase increments and its
-        loop error (half a copy each) run beside the reference alone."""
+        """The DPLL twin of the LLS bound: downconversion sets it too, and
+        its phase increments and its loop error (half a copy each) run
+        alone."""
         copies = self.traced_copies(long_capture, tmp_path, "dpll")
-        assert copies < 2.8, copies
+        assert copies < 1.9, copies
 
 
 def traced_peak(body, *args) -> int:
@@ -342,15 +343,16 @@ class TestReceiveChain:
 
     def test_peak_memory_of_a_dpll_trial(self):
         """One Manchester 128 b/s DPLL trial at 20 dB, in a fresh process
-        (so the cached reference is built inside it), peaks under 60 MiB:
-        the sync periodogram sets it, no longer the DPLL."""
+        (so the cached reference period is built inside it), peaks under
+        45 MiB: the coarse sync periodogram sets it, its mixed periods
+        beside the capture, with no full-length reference."""
         peak = traced_peak("""
             from fcssk import chain, derive_params, txmod
             mp = txmod.make_mod_params(derive_params(1024.0, 4.0, 65536), "manchester", 128)
             scored, errors = chain._run_trial(mp, "dpll", True, 1, 20.0, 0, 0, chain.TRIAL_BITS)
             assert (scored, errors) == (chain.TRIAL_BITS, 0)
         """)
-        assert peak < 60 * 2 ** 20, peak / 2 ** 20
+        assert peak < 45 * 2 ** 20, peak / 2 ** 20
 
     def test_no_cpu_spent_after_a_trial(self, tmp_path):
         """One sync'd trial per estimator, a sweep on the trial threads and
@@ -701,7 +703,7 @@ class TestBlockSize:
         assert len(want[0]) > sigcore.PARALLEL_BLOCK    # two default blocks
         monkeypatch.setattr(sigcore, "PARALLEL_BLOCK", size)
         monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(sigcore, "_PERIODIC_CACHE", {})   # the reference built in blocks too
+        monkeypatch.setattr(sigcore, "_PERIODS", {})   # the reference period built afresh too
         got = self.outputs(man128, bits, tmp_path / "tx.cf32")
         assert len(got) == len(want)
         for k, (a, b) in enumerate(zip(want, got)):

@@ -14,6 +14,12 @@ from fcssk.txmod import make_mod_params
 from if_reference import unwrap_phase
 
 
+def reference_of(rx, mp):
+    """The reference chirp over the samples of ``rx``."""
+    n = len(rx.samples)
+    return reference_chirp(mp.chirp, max(-(-n // mp.chirp.n), 1)).samples[:n]
+
+
 def tone(freq_hz, n, fs, phase=0.0):
     t = np.arange(n)
     return IqBuffer(np.exp(1j * (2 * np.pi * freq_hz * t / fs + phase)), fs)
@@ -285,7 +291,7 @@ class TestDownconvert:
     @staticmethod
     def direct(rx, mp):
         """The lowpass as a direct convolution, group delay cut off."""
-        bb = rx.samples * np.conj(periodic_reference(mp.chirp, len(rx.samples)))
+        bb = rx.samples * np.conj(reference_of(rx, mp))
         h = design_lowpass(default_cutoff(mp), rx.fs)
         delay = (len(h) - 1) // 2
         return np.convolve(bb, h)[delay:delay + len(bb)]
@@ -314,7 +320,7 @@ class TestDownconvert:
     @staticmethod
     def full_product(rx, mp):
         """The mix as one full-length product, then the same overlap-save."""
-        bb = np.conj(periodic_reference(mp.chirp, len(rx.samples)))
+        bb = np.conj(reference_of(rx, mp))
         np.multiply(rx.samples.astype(np.complex128), bb, out=bb)
         h = design_lowpass(default_cutoff(mp), rx.fs)
         nfft = _fft_size(len(h))

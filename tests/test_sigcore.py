@@ -1,8 +1,11 @@
+import itertools
+import math
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from fcssk import AliasingError, ConfigError, IqBuffer, derive_params, reference
 from fcssk import sigcore
 from fcssk.codec import CodedFrame
 from fcssk.channel import apply_delay
-from fcssk.sigcore import (PARALLEL_BLOCK, first_non_finite, parallel_workers,
+from fcssk.sigcore import (PARALLEL_BLOCK, conj_reference, first_non_finite, parallel_workers,
                            periodic_reference, reference_tail, run_blocks, run_chain,
                            run_parallel, serially)
 from if_reference import (instantaneous_frequency, modulated_frequency, reference_frequency,
@@ -97,52 +100,76 @@ class TestReferenceChirp:
 
 class TestPeriodicReference:
     def test_is_the_reference_chirp(self, chirp):
-        ref = periodic_reference(chirp, 2 * chirp.n + 5)
-        assert np.array_equal(ref, reference_chirp(chirp, 3).samples[:2 * chirp.n + 5])
+        span = np.empty(2 * chirp.n + 5, dtype=np.complex128)
+        conj_reference(periodic_reference(chirp, len(span)), 0, span)
+        assert same_bits(span, np.conj(reference_chirp(chirp, 3).samples[:len(span)]))
 
     def test_read_only(self, chirp):
-        # concurrent trials share the cached array
-        ref = periodic_reference(chirp, chirp.n)
+        # concurrent trials share the cached period
+        conj_period, _ = periodic_reference(chirp, chirp.n)
         with pytest.raises(ValueError):
-            ref[0] = 0.0
+            conj_period[0] = 0.0
         with pytest.raises(ValueError):
-            ref *= 2.0
+            conj_period *= 2.0
 
-    def test_concurrent_callers_build_each_length_once(self, chirp, monkeypatch):
-        # more threads than cores, switching often: every caller gets the
-        # right prefix, and growing the cache from 1 to 5 periods
-        # synthesizes each period exactly once
-        want = reference_chirp(chirp, 5).samples
-        monkeypatch.setattr(sigcore, "_PERIODIC_CACHE", {})
-        built = []
-        build = sigcore._reference_periods
-
-        def counted(params, out, carry):
-            built.append(len(out) // params.n)
-            return build(params, out, carry)
-        monkeypatch.setattr(sigcore, "_reference_periods", counted)
-        lengths = [(k % 5 + 1) * chirp.n - k for k in range(32)]
+    def test_concurrent_callers_share_one_period(self, chirp, monkeypatch):
+        # more threads than cores, switching often, on an empty cache: every
+        # caller gets the one stored period, with the one-period formula's bits
+        want = np.conj(np.exp(1j * ((2.0 * np.pi / chirp.fs)
+                                    * np.cumsum(reference_frequency(chirp, chirp.n)))))
+        monkeypatch.setattr(sigcore, "_PERIODS", {})
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
-                got = list(pool.map(lambda n: periodic_reference(chirp, n), lengths, timeout=60))
+                got = list(pool.map(lambda k: periodic_reference(chirp, k * chirp.n)[0],
+                                    range(32), timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        assert [len(g) for g in got] == lengths
-        assert all(same_bits(g, want[:len(g)]) for g in got)
-        assert sum(built) == 5
-        assert len(sigcore._PERIODIC_CACHE[chirp][0]) == 5 * chirp.n
+        assert all(g is sigcore._PERIODS[chirp][0] for g in got)
+        assert same_bits(got[0], want)
 
     def test_negative_length_refused(self, chirp):
-        # a negative slice end would hand back most of the cached reference
         periodic_reference(chirp, chirp.n)
         with pytest.raises(ConfigError, match="must be >= 0, got -5"):
             periodic_reference(chirp, -5)
 
     def test_zero_length_is_empty(self, chirp, monkeypatch):
-        monkeypatch.setattr(sigcore, "_PERIODIC_CACHE", {})
-        assert len(periodic_reference(chirp, 0)) == 0
+        monkeypatch.setattr(sigcore, "_PERIODS", {})
+        ref = periodic_reference(chirp, 0)
+        assert len(ref[0]) == chirp.n and len(ref[1]) == 0
+        assert len(conj_reference(ref, 0, np.empty(0, dtype=np.complex128))) == 0
+
+    @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
+    def test_last_of_257_periods_holds_its_phase(self, config):
+        # against exact turns: the phase sums of the float64 IF values as
+        # fractions, reduced mod 1; one running cumsum over the whole
+        # stream erred by 3.1e-10 rad at (1000, 3, 49149)
+        chirp = derive_params(*config)
+        n, k = chirp.n, 256
+        sums = list(itertools.accumulate(Fraction(v) for v in (np.arange(n) * chirp.k0).tolist()))
+        exact = np.array([float((k * sums[-1] + s) / chirp.fs % 1) for s in sums])
+        last = conj_reference(periodic_reference(chirp, (k + 1) * n), k * n,
+                              np.empty(n, dtype=np.complex128))
+        error = (np.angle(last) / (2.0 * np.pi) + exact + 0.5) % 1.0 - 0.5
+        assert np.abs(error).max() * 2.0 * np.pi < 1e-10
+
+    @pytest.mark.parametrize("config", REFERENCE_CONFIGS + [(1024.0, 4.0, 8000)])
+    def test_spans_are_slices_of_the_reference_chirp(self, config):
+        # at 8000 S/s a period (2000 samples) is shorter than a guard-2048
+        # slip window (12321)
+        chirp = derive_params(*config)
+        n = chirp.n
+        want = np.conj(reference_chirp(chirp, 9).samples)
+        ref = periodic_reference(chirp, len(want))
+        for lo, hi in ((0, 0), (5, 5), (n - 1, n), (3 * n, 3 * n + 1), (7, n - 3),
+                       (n // 2, 3 * n + n // 3), (n - 1, n + 1), (2 * n, 4 * n),
+                       (17, 17 + 12321), (0, 9 * n)):
+            span = conj_reference(ref, lo, np.empty(hi - lo, dtype=np.complex128))
+            assert same_bits(span, want[lo:hi]), (lo, hi)
+            if hi + 2 * n <= len(want):     # rows one period apart, as the sync passes take them
+                rows = conj_reference(ref, lo, np.empty((3, hi - lo), dtype=np.complex128))
+                assert same_bits(rows, np.stack([want[lo + k * n:hi + k * n] for k in range(3)]))
 
 
 class TestInstantaneousFrequency:
@@ -193,7 +220,7 @@ class TestReferenceTail:
         # apply_delay's prefix, read off the cached first period, equals the
         # tail of one period synthesized on its own
         chirp = derive_params(*config)
-        monkeypatch.setattr(sigcore, "_PERIODIC_CACHE", {})
+        monkeypatch.setattr(sigcore, "_PERIODS", {})
         one = synthesize(reference_frequency(chirp, chirp.n), chirp.fs).samples
         burst = IqBuffer(np.ones(chirp.n + 1, dtype=np.complex128), chirp.fs)
         for delay in (1, 3000, chirp.n - 1, chirp.n):
@@ -218,30 +245,25 @@ class TestInPlaceSynthesis:
     @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
     @pytest.mark.parametrize("periods", [1, 3, 17])
     def test_reference_is_synthesized_sawtooth(self, config, periods):
-        # built period by period, with no full-length IF track
+        # period 0 is the cumsum formula bit for bit, with no full-length IF
+        # track; period k is period 0 turned by k times its phase sum, in turns
         chirp = derive_params(*config)
-        freq = reference_frequency(chirp, periods * chirp.n)
-        want = np.exp(1j * ((2.0 * np.pi / chirp.fs) * np.cumsum(freq)))
-        assert same_bits(reference_chirp(chirp, periods).samples, want)
+        freq = reference_frequency(chirp, chirp.n)
+        phase = np.cumsum(freq)
+        one = np.exp(1j * ((2.0 * np.pi / chirp.fs) * phase))
+        frac = math.fmod(phase[-1] / chirp.fs, 1.0)
+        ref = reference_chirp(chirp, periods).samples.reshape(periods, chirp.n)
+        assert same_bits(ref[0], one)
+        for k in range(1, periods):
+            assert same_bits(ref[k], np.exp(1j * (2.0 * np.pi) * np.mod(k * frac, 1.0)) * one)
 
     def test_reference_does_not_depend_on_worker_count(self, chirp, monkeypatch):
         built = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(sigcore, "_usable_cpus", lambda cpus=cpus: cpus)
-            monkeypatch.setattr(sigcore, "_PERIODIC_CACHE", {})
-            built.append(periodic_reference(chirp, 5 * chirp.n - 1).tobytes())
+            monkeypatch.setattr(sigcore, "_PERIODS", {})
+            built.append(reference_chirp(chirp, 5).samples[:-1].tobytes())
         assert built[0] == built[1] == built[2]
-
-    @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
-    def test_grown_cache_is_the_one_shot_build(self, config, monkeypatch):
-        # grown in steps of whole and partial periods, the cache extends its
-        # carried phase sum and equals one build of all its periods
-        chirp = derive_params(*config)
-        monkeypatch.setattr(sigcore, "_PERIODIC_CACHE", {})
-        want = synthesize(reference_frequency(chirp, 9 * chirp.n), chirp.fs).samples
-        for n in (1, 3 * chirp.n - 7, 3 * chirp.n, 5 * chirp.n + 1, 9 * chirp.n):
-            assert same_bits(periodic_reference(chirp, n), want[:n])
-        assert same_bits(sigcore._PERIODIC_CACHE[chirp][0], want)
 
     @pytest.mark.parametrize("fs", [65536, 48000])
     @pytest.mark.parametrize("periods", [0.5, 1, 3.25])

@@ -1,10 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 
+from fcssk import ifest, sigcore, sync
+from fcssk.cli import main, read_bits, write_cf32
 from fcssk import (ConfigError, IqBuffer, SyncError, align, apply_awgn,
                    apply_delay, derive_params, estimate_timing, modulate, reference_chirp)
 from fcssk.codec import encode
-from fcssk.sigcore import periodic_reference
 from fcssk.sync import (MAX_SLIP_BOUNDARIES, SLIP_AVG, SLIP_GUARDS, _measure_slips, _median,
                         _mixed_periodogram)
 from fcssk.txmod import make_mod_params
@@ -59,6 +62,35 @@ class TestEstimateTiming:
             est = estimate_timing(delayed_reference(chirp, int(tau)), chirp)
             assert 0 <= est.tau_hat < chirp.n
 
+    def test_reference_looked_up_through_sync(self, man128, monkeypatch, tmp_path):
+        # the bench tracer counts calls at sync.periodic_reference and
+        # ifest.periodic_reference, and it is not thread-safe: in a
+        # demodulate on 2 CPUs every lookup runs on the calling thread,
+        # while the spans are written on the block threads
+        lookups, spans = [], set()
+        for module in (sync, ifest):
+            def counted(params, n_samples, module=module, look_up=module.periodic_reference):
+                lookups.append((module.__name__, threading.current_thread()))
+                return look_up(params, n_samples)
+            monkeypatch.setattr(module, "periodic_reference", counted)
+
+        def written(ref, lo, out, write=sigcore.conj_reference):
+            spans.add(threading.current_thread())
+            return write(ref, lo, out)
+        monkeypatch.setattr(sigcore, "conj_reference", written)
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 2)
+        rng = np.random.default_rng(12)
+        bits = rng.integers(0, 2, 5 * man128.chirp.n // man128.m)
+        sig = modulate(encode(bits, "manchester", man128.coded_bit_len), man128)
+        capture, decoded = tmp_path / "rx.cf32", tmp_path / "rx.bits"
+        write_cf32(capture, apply_awgn(apply_delay(sig, 3000, man128.chirp), 10.0, rng).samples)
+        assert main(["demodulate", "--in", str(capture), "--out", str(decoded)]) == 0
+        assert np.array_equal(read_bits(decoded), bits)
+        assert {name for name, _ in lookups} == {"fcssk.sync", "fcssk.ifest"}
+        assert {thread for _, thread in lookups} == {threading.current_thread()}
+        assert {thread.name.rsplit("-", 1)[0] for thread in spans} >= {"fcssk-rows",
+                                                                     "fcssk-convolve"}
+
 
 class TestAlign:
     def test_identity(self, chirp):
@@ -92,7 +124,7 @@ def reference_measure_slips(rx, params, t0, guard):
     n, fs, b0 = params.n, params.fs, params.b0
     total = len(rx) - t0
     half = 3 * guard + SLIP_AVG
-    ref = periodic_reference(params, max(total, 0))   # t0 may lie past a short stream's end
+    ref = reference_chirp(params, max(-(-total // n), 1)).samples   # t0 may lie past the end
     deltas = []
     p = n
     while p + half < total and len(deltas) < MAX_SLIP_BOUNDARIES:
@@ -147,7 +179,7 @@ class TestMixedPeriodogram:
         rx = (rng.standard_normal(4 * n) + 1j * rng.standard_normal(4 * n)).astype(dtype)
         # out-of-place FFT; the product in place, as in the function (a separate
         # product array can round differently)
-        mixed = np.conj(periodic_reference(chirp, periods * n))
+        mixed = np.conj(reference_chirp(chirp, periods).samples)
         np.multiply(rx[start:start + periods * n], mixed, out=mixed)
         want = np.abs(np.fft.fft(mixed.reshape(periods, n), axis=1))
         want **= 2
