@@ -25,7 +25,7 @@ import numpy as np
 from . import chain, codec, theory, txmod
 from .chain import TRIAL_BITS
 from .errors import FcsskError, FileFormatError
-from .sigcore import IqBuffer, derive_params, first_non_finite, run_blocks
+from .sigcore import IqBuffer, derive_params, first_non_finite
 
 CSV_HEADER = "snr_db,code,bitrate,estimator,bits,errors,ber"
 DEFAULT_BITS = 100_000
@@ -85,15 +85,10 @@ def read_cf32(path: str) -> np.ndarray:
 
 
 def write_cf32(path: str, samples: np.ndarray) -> None:
-    """Narrow ``samples`` to complex64 block by block on ``run_blocks``,
-    into one preallocated array, and write it in one ``tofile``."""
-    narrow = np.empty(len(samples), dtype="<c8")
-
-    def convert(s: slice) -> None:
-        narrow[s] = samples[s]
-    run_blocks(convert, len(samples))
+    """The samples as complex64, narrowed in one ``astype`` and written in
+    one ``tofile``."""
     with open(path, "wb") as fh:
-        narrow.tofile(fh)
+        samples.astype("<c8").tofile(fh)
 
 
 # ---------------------------------------------------------------- SNR grid

@@ -17,7 +17,8 @@ into blocks that each write their own slice of a preallocated output.
 ``run_chain`` runs on it too: a running sum over a long burst (the
 transmitter's phase sums, the unwrap) runs block by block in order as
 its heads, and each block's elementwise rest as its tail, beside the
-later heads.
+later heads.  A pass is split only where the split measured a gain, so
+``first_non_finite`` runs whole.
 
 The reference chirp is periodic up to a phase step per period, so it is
 held as its conjugate period 0, cached per ``ChirpParams``, and one
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -163,12 +165,9 @@ def run_chain(head, tail, n: int, block: int, carry):
 
 
 def first_non_finite(x: np.ndarray) -> int | None:
-    """Index of the first NaN or infinity in the 1-D array ``x``, or None;
-    checked block by block, so no full-length mask is built."""
-    def scan(s: slice) -> int | None:
-        finite = np.isfinite(x[s])
-        return None if finite.all() else s.start + int(np.argmin(finite))
-    return next((i for i in run_blocks(scan, len(x)) if i is not None), None)
+    """Index of the first NaN or infinity in the 1-D array ``x``, or None."""
+    finite = np.isfinite(x)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 @dataclass(frozen=True)
@@ -200,6 +199,9 @@ def derive_params(b0: float, rep_rate: float, fs: int, strict: bool = False) -> 
     """
     if not (np.isfinite(b0) and np.isfinite(rep_rate)):
         raise ConfigError(f"b0 and rep_rate must be finite numbers, got {b0} and {rep_rate}")
+    if not (isinstance(fs, numbers.Integral) or float(fs).is_integer()):   # False for NaN and inf
+        raise ConfigError(f"fs must be a whole number of samples/s, got {fs}")
+    fs = int(fs)
     if b0 <= 0 or rep_rate <= 0 or fs <= 0:
         raise ConfigError("b0, rep_rate and fs must be positive")
     if b0 >= fs / 2:
@@ -213,37 +215,7 @@ def derive_params(b0: float, rep_rate: float, fs: int, strict: bool = False) -> 
             raise ConfigError(f"strict mode: rep_rate must be in [2, 4] Hz, got {rep_rate}")
         if b0 < 700.0:
             raise ConfigError(f"strict mode: b0 must be >= 700 Hz, got {b0}")
-    return ChirpParams(b0=float(b0), fs=int(fs), n=n, k0=float(b0) / n)
-
-
-def synthesize_chain(sums, out: np.ndarray, fs: int, block: int, carry):
-    """Fill the zeroed complex128 ``out`` with a unit-amplitude signal
-    from its phase sums, block by block on ``run_chain``, and return the
-    last carry.
-
-    The heads run ``carry = sums(phase, s, carry)`` in order: it writes
-    the phase sums of the samples in slice ``s`` into ``phase``, an array
-    of the slice's length.  Each block's tail writes
-    ``exp(1j * (2*pi/fs) * phase)`` into ``out[s]``, beside the later
-    heads, so the first touch of the output's pages falls in the tails
-    too.  That equals the formula bit for bit: the product's real part
-    is a zero, and exp(+-0 + j*phi) is the same number.  A worker runs
-    a head and then its tail, so each worker sums into one buffer of its
-    own, allocated once per call: with an array per block, a 1 M-sample
-    ``modulate`` took about 2.5 times the page faults.
-    """
-    mine = threading.local()    # .phase: this worker's block buffer
-
-    def head(s: slice, carry):
-        if not hasattr(mine, "phase"):
-            mine.phase = np.empty(block)
-        return sums(mine.phase[:s.stop - s.start], s, carry)
-
-    def tail(s: slice) -> None:
-        block = out[s]
-        np.multiply(mine.phase[:s.stop - s.start], 2.0 * np.pi / fs, out=block.imag)
-        np.exp(block, out=block)
-    return run_chain(head, tail, len(out), block, carry)
+    return ChirpParams(b0=float(b0), fs=fs, n=n, k0=float(b0) / n)
 
 
 def reference_chirp(params: ChirpParams, n_periods: int) -> IqBuffer:

@@ -8,6 +8,7 @@ returns to zero at every codeword boundary.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import sigcore
 from .codec import CodedFrame, get_code_spec
 from .errors import ConfigError
-from .sigcore import ChirpParams, IqBuffer, synthesize_chain
+from .sigcore import ChirpParams, IqBuffer
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,9 @@ class ModParams:
 
 def make_mod_params(chirp: ChirpParams, code: str, bitrate: int) -> ModParams:
     spec = get_code_spec(code)
+    if not (isinstance(bitrate, numbers.Integral) or float(bitrate).is_integer()):
+        raise ConfigError(f"bitrate must be a whole number of bits/s, got {bitrate}")
+    bitrate = int(bitrate)
     if bitrate <= 0 or chirp.fs % bitrate:
         raise ConfigError(f"bitrate {bitrate} must divide fs={chirp.fs}")
     m = chirp.fs // bitrate
@@ -37,7 +41,7 @@ def make_mod_params(chirp: ChirpParams, code: str, bitrate: int) -> ModParams:
     # occupy exactly p info-bit durations and the info rate is unchanged
     if (m * spec.p) % spec.q:
         raise ConfigError(f"coded bit length {spec.p}*M/{spec.q} not integer for M={m}")
-    return ModParams(chirp=chirp, code=code, bitrate=int(bitrate), m=m,
+    return ModParams(chirp=chirp, code=code, bitrate=bitrate, m=m,
                      coded_bit_len=m * spec.p // spec.q)
 
 
@@ -61,22 +65,24 @@ def modulate(frame: CodedFrame, mp: ModParams) -> IqBuffer:
     matching the zero initial IF of the reference), minus b0 per
     completed period (sawtooth wrap), and sample n is
     ``exp(1j * (2*pi/fs) * cumsum(f)[n])``, bit for bit.  No full-length
-    slope or IF track is built: on ``synthesize_chain``, the heads sum
-    each block's slopes and then its phase, in order, carrying the raw
-    slope sum and the phase sum (a block that begins ``block[0] += carry``
-    sums to the same bits) and subtracting the wrap per period; the
-    tails scale and exponentiate each summed block into the output,
-    beside the later heads.
+    slope or IF track is built: on ``run_chain``, the heads sum each
+    block's slopes and then its phase straight into the imaginary part
+    of its slice of the zeroed output, in order, carrying the raw slope
+    sum and the phase sum (a block that begins ``block[0] += carry`` sums
+    to the same bits) and subtracting the wrap per period; the tails
+    scale and exponentiate each summed block in place, beside the later
+    heads.  The real part stays zero, and exp(+-0 + j*phi) is the same
+    number as the formula's.
     """
     _check_frame(frame, mp)
     n, b0, fs, bit_len = mp.chirp.n, mp.chirp.b0, mp.chirp.fs, mp.coded_bit_len
     slopes = _coded_bit_slopes(frame, mp)
     out = np.zeros(len(slopes) * bit_len, dtype=np.complex128)
 
-    def phase_sums(phase: np.ndarray, s: slice,
-                   carry: tuple[float, float]) -> tuple[float, float]:
+    def phase_sums(s: slice, carry: tuple[float, float]) -> tuple[float, float]:
         slope_sum, phase_sum = carry    # f[lo] before its wrap, and the phase through lo - 1
         lo, hi = s.start, s.stop
+        phase = out[s].imag
         first = lo // bit_len           # the coded bit of sample lo
         phase[0] = slope_sum
         phase[1:] = np.repeat(slopes[first:(hi - 2) // bit_len + 1],
@@ -88,7 +94,12 @@ def modulate(frame: CodedFrame, mp: ModParams) -> IqBuffer:
         phase[0] += phase_sum
         np.cumsum(phase, out=phase)
         return slope_sum, float(phase[-1])
-    synthesize_chain(phase_sums, out, fs, sigcore.PARALLEL_BLOCK, (0.0, 0.0))
+
+    def scale_exp(s: slice) -> None:
+        block = out[s]
+        block.imag *= 2.0 * np.pi / fs
+        np.exp(block, out=block)
+    sigcore.run_chain(phase_sums, scale_exp, len(out), sigcore.PARALLEL_BLOCK, (0.0, 0.0))
     return IqBuffer(samples=out, fs=fs)
 
 

@@ -58,6 +58,18 @@ class TestDeriveParams:
         with pytest.raises(ConfigError, match="must be finite numbers"):
             derive_params(b0, rep_rate, 65536)
 
+    @pytest.mark.parametrize("fs", [8000.5, np.nan, np.inf, -np.inf])
+    def test_fractional_or_non_finite_fs_rejected(self, fs):
+        # 8000.5 would be truncated to 8000 with n = 16001 (not 8000 / 0.5)
+        with pytest.raises(ConfigError, match="fs must be a whole number"):
+            derive_params(1024, 0.5, fs)
+
+    @pytest.mark.parametrize("fs", [65536.0, np.float64(65536), np.int64(65536)])
+    def test_integral_fs_stored_as_python_ints(self, fs):
+        p = derive_params(1024.0, 4.0, fs)
+        assert p == derive_params(1024.0, 4.0, 65536)
+        assert type(p.fs) is int and type(p.n) is int
+
     def test_strict_envelope(self):
         with pytest.raises(ConfigError):
             derive_params(1024.0, 8.0, 65536, strict=True)

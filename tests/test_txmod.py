@@ -24,6 +24,17 @@ class TestModParams:
         with pytest.raises(ConfigError):
             make_mod_params(chirp, "manchester", 100)
 
+    def test_integral_float_bitrate_is_the_int(self, chirp, man128, rng):
+        mp = make_mod_params(chirp, "manchester", 128.0)
+        assert mp == man128 and type(mp.m) is int and type(mp.coded_bit_len) is int
+        frame = encode(rng.integers(0, 2, 40), "manchester", mp.coded_bit_len)
+        assert modulate(frame, mp).samples.tobytes() == modulate(frame, man128).samples.tobytes()
+
+    @pytest.mark.parametrize("bitrate", [128.5, np.nan, np.inf])
+    def test_fractional_or_non_finite_bitrate_rejected(self, chirp, bitrate):
+        with pytest.raises(ConfigError, match="bitrate must be a whole number"):
+            make_mod_params(chirp, "manchester", bitrate)
+
 
 class TestModulate:
     def test_single_bit_slope_and_sweep(self, man128):
