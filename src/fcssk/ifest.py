@@ -28,7 +28,8 @@ import numpy as np
 
 from . import sigcore
 from .errors import ConfigError
-from .sigcore import IqBuffer, periodic_reference, run_blocks, run_chain, unwrap_step
+from .sigcore import (IqBuffer, mix_reference, periodic_reference, run_blocks, run_chain,
+                      unwrap_step)
 from .txmod import ModParams, peak_deviation
 
 LOWPASS_SPAN_S = 128 / 65536  # lowpass length, s: 128 sample intervals at 65536 S/s
@@ -116,18 +117,18 @@ def downconvert(rx: IqBuffer, mp: ModParams) -> IqBuffer:
     """Mix against the local reference and lowpass the product at
     ``default_cutoff(mp)``, by overlap-save FFT convolution.
 
-    The mix runs per overlap-save group, against the reference span that
-    ``sigcore.conj_reference`` writes in place, so the full-length arrays
-    are the input and the output alone.  ``rx`` may be complex64: widening
-    to complex128 is exact.  The FIR group delay of (taps-1)/2 samples is
+    Each overlap-save group's span is mixed by ``sigcore.mix_reference``
+    straight into the group's buffer, so the full-length arrays are the
+    input and the output alone.  ``rx`` may be complex64: widening to
+    complex128 is exact.  The FIR group delay of (taps-1)/2 samples is
     compensated by shifting the output, so the baseband stays
     sample-aligned with the input.
     """
-    x = rx.samples
+    x, ref = rx.samples, periodic_reference(mp.chirp)
     h = design_lowpass(default_cutoff(mp), rx.fs)
     nfft = _fft_size(len(h))
-    return IqBuffer(samples=_overlap_save(x, h, np.fft.fft(h, nfft), nfft, lag=(len(h) - 1) // 2,
-                                          ref=periodic_reference(mp.chirp, len(x))),
+    return IqBuffer(samples=_overlap_save(lambda a, b, out: mix_reference(x, ref, a, out), len(x),
+                                          h, np.fft.fft(h, nfft), nfft, lag=(len(h) - 1) // 2),
                     fs=rx.fs)
 
 
@@ -175,29 +176,27 @@ def _fft_size(taps: int) -> int:
     return 1 << (8 * taps - 1).bit_length()
 
 
-def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
-                  lag: int = 0, ref: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Samples lag .. lag+len(x)-1 of the linear convolution x * h, or of
-    (x * conj(chirp)) * h for ``ref = periodic_reference(chirp, len(x))``.
+def _overlap_save(fill, n: int, h: np.ndarray, spectrum: np.ndarray, nfft: int,
+                  lag: int = 0) -> np.ndarray:
+    """Samples lag .. lag+n-1 of the linear convolution x * h, where
+    ``fill(a, b, out)`` writes samples a .. b-1 of the n-sample input x
+    into ``out``; ``spectrum`` is fft(h, nfft) for complex x and
+    rfft(h, nfft) for real x, so its length says which.
 
-    ``spectrum`` is rfft(h, nfft) for real input and fft(h, nfft) for
-    complex input.  The blocks go through batched FFTs on ``run_blocks``,
-    in groups of the fewest blocks that hold ``sigcore.PARALLEL_BLOCK``
-    output samples: an FFT call of one row ran about a quarter slower
+    The blocks go through batched FFTs, one block a row, in groups on
+    ``run_blocks``: an FFT call of one row ran about a quarter slower
     per row than one of two, and the DPLL's blocks are nearly that long.
-    Each group is a view of ``x`` (a zero-padded copy only at the two
-    ends), or its product with the reference span, and lands in one
-    preallocated output, so the temporaries in flight stay about one
-    group per worker.  Each block is its own FFT, whatever its group, so
-    the output does not depend on the split.
+    Each group's span is zeroed, filled where it lies inside x, and
+    lands in one preallocated output, so the temporaries in flight stay
+    about one group per worker.  Each block is its own FFT, whatever its
+    group, so the output does not depend on the split.
     """
-    n, taps = len(x), len(h)
+    taps = len(h)
     keep = nfft - taps + 1
-    dtype = x.dtype if ref is None else np.result_type(x, np.complex128)
-    if np.issubdtype(dtype, np.complexfloating):
-        forward, inverse = np.fft.fft, np.fft.ifft
+    if len(spectrum) == nfft:
+        dtype, forward, inverse = np.complex128, np.fft.fft, np.fft.ifft
     else:
-        forward, inverse = np.fft.rfft, np.fft.irfft
+        dtype, forward, inverse = np.float64, np.fft.rfft, np.fft.irfft
     total = -(-n // keep)
     out = np.empty((total, keep), dtype=dtype)
 
@@ -205,20 +204,13 @@ def _overlap_save(x: np.ndarray, h: np.ndarray, spectrum: np.ndarray, nfft: int,
         lo = group.start * keep + lag - (taps - 1)   # index in x of the group's first sample
         hi = group.stop * keep + lag
         a, b = max(lo, 0), min(hi, n)               # the part of the span inside x
-        if ref is None and (a, b) == (lo, hi):
-            span = x[lo:hi]
-        else:
-            span = np.zeros(hi - lo, dtype=dtype)
-            if ref is None:
-                span[a - lo:b - lo] = x[a:b]
-            else:
-                mixed = sigcore.conj_reference(ref, a, span[a - lo:b - lo])
-                np.multiply(x[a:b], mixed, out=mixed)   # rx first: the full-array product's rounding
+        span = np.zeros(hi - lo, dtype=dtype)
+        fill(a, b, span[a - lo:b - lo])
         segments = np.lib.stride_tricks.sliding_window_view(span, nfft)[::keep]
         product = forward(segments, axis=1)
         product *= spectrum
         out[group] = inverse(product, nfft, axis=1)[:, taps - 1:]
-    run_blocks(convolve, total, -(-sigcore.PARALLEL_BLOCK // keep))
+    run_blocks(convolve, total, keep)
     return out.reshape(-1)[:n]
 
 
@@ -250,30 +242,26 @@ def dpll_track(bb: IqBuffer, p: DpllParams) -> np.ndarray:
     float rounding.  ``g`` is cut where it falls below SLIP_TAIL, and each
     slip costs O(len(g)).  Samples must be finite.
 
-    Two float64 arrays are built at full length.  The phase is taken
-    into the first and turned into its wrapped increments there, block
-    by block on ``run_blocks``; ``bb`` is dropped once the phase is
-    taken, so a baseband handed over inline is freed before the loop
-    error.  The loop error is the overlap-save output, and v is built
-    in it, its integral a running ``cumsum`` carried from block to block
-    (a block that begins ``block[0] += carry`` sums to the same bits).
-    Blocks are ``sigcore.PARALLEL_BLOCK`` samples.
+    Two float64 arrays are built at full length: the phase, and the
+    loop error, the overlap-save output, each of whose groups is filled
+    with the wrapped phase increments of its own span.  ``bb`` is dropped
+    once the phase is taken, so a baseband handed over inline is freed
+    before the loop error.  v is built in the loop error, its integral a
+    running ``cumsum`` carried from block to block of
+    ``sigcore.PARALLEL_BLOCK`` samples (a block that begins
+    ``block[0] += carry`` sums to the same bits).
     """
     n, fs, size = len(bb.samples), bb.fs, sigcore.PARALLEL_BLOCK
     g, spectrum, nfft = _loop_kernel(p.c1, p.c2)
-    step = _angle(bb.samples, np.empty(n))
+    phase = _angle(bb.samples, np.empty(n))
     del bb
-    before = np.zeros(-(-n // size))    # the phase before each block
-    before[1:] = step[size - 1:-1:size]
 
-    def wrap(s: slice) -> None:
-        block = step[s]
-        increment = np.diff(block, prepend=before[s.start // size])
-        increment -= TWO_PI * np.round(increment / TWO_PI)
-        block[:] = increment
-    run_blocks(wrap, n, size)
-    err = _overlap_save(step, g, spectrum, nfft)
-    del step
+    def wrapped_steps(a: int, b: int, out: np.ndarray) -> None:
+        out[0] = phase[a] - (phase[a - 1] if a else 0.0)   # the phase before sample 0 is 0
+        np.subtract(phase[a + 1:b], phase[a:b - 1], out=out[1:])
+        out -= TWO_PI * np.round(out / TWO_PI)
+    err = _overlap_save(wrapped_steps, n, g, spectrum, nfft)
+    del phase
     pos = 0
     while pos < n:
         window = err[pos:pos + SLIP_SCAN]
@@ -393,7 +381,7 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> np.ndarray:
         mine = slice(first, max(last, first))
         np.matvec(deriv[lead:lead + hop], np.matvec(proj, windows[mine]), out=rows[mine])
         rows[mine] *= gain
-    run_chain(unwrap, fit, total - 1, sigcore.PARALLEL_BLOCK, (0.0, float(phi[0])))
+    run_chain(unwrap, fit, total - 1, (0.0, float(phi[0])))
     out[:lead] = np.matvec(deriv[:lead], np.matvec(proj, phi[:window]))
     out[:lead] *= gain
     if stop < total:

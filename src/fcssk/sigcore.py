@@ -13,17 +13,20 @@ Conventions used throughout the package:
 
 ``run_parallel`` is the package's one thread helper: the trials of a sweep
 run through it, and so do the per-sample stages of one long burst, split
-into blocks that each write their own slice of a preallocated output.
-``run_chain`` runs on it too: a running sum over a long burst (the
-transmitter's phase sums, the unwrap) runs block by block in order as
-its heads, and each block's elementwise rest as its tail, beside the
-later heads.  A pass is split only where the split measured a gain, so
-``first_non_finite`` runs whole.
+by ``run_blocks`` into slices that each write their own part of a
+preallocated output.  ``run_blocks`` holds the one block rule, so a stage
+states the width of its rows and never a block size.  ``run_chain``
+runs a running sum over a long burst (the transmitter's phase sums, the
+unwrap) on the same slices, in order, as its heads, and each slice's
+elementwise rest as its tail, beside the later heads.  A pass is split
+only where the split measured a gain.
 
 The reference chirp is periodic up to a phase step per period, so it is
-held as its conjugate period 0, cached per ``ChirpParams``, and one
-conjugate phasor per period (``periodic_reference``); ``conj_reference``
-writes any span of it into a buffer the caller holds.
+held as its conjugate period 0 and the step, cached per ``ChirpParams``
+(``periodic_reference``, which takes no length).  ``conj_reference``
+writes any span of it, and ``mix_reference`` any span of
+``rx * conj(reference)``, into a buffer the caller holds, so a stage
+asks for spans and never states how long a reference it reads.
 """
 
 from __future__ import annotations
@@ -118,18 +121,19 @@ def run_parallel(fn, items) -> list:
     return results
 
 
-def run_blocks(fn, n: int, block: int | None = None) -> list:
+def run_blocks(fn, n: int, width: int = 1) -> list:
     """``run_parallel(fn, ...)`` over consecutive slices of ``range(n)``,
-    ``block`` (by default PARALLEL_BLOCK) long, the last one shorter:
-    samples, or rows of a 2-D array."""
-    block = PARALLEL_BLOCK if block is None else block
-    return run_parallel(fn, [slice(lo, min(lo + block, n)) for lo in range(0, n, block)])
+    rows of ``width`` samples (1 for a run of samples): each slice the
+    fewest whole rows that reach PARALLEL_BLOCK samples, the last one
+    shorter.  This is the one block rule; no caller counts rows."""
+    rows = -(-PARALLEL_BLOCK // width)
+    return run_parallel(fn, [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)])
 
 
-def run_chain(head, tail, n: int, block: int, carry):
-    """Run ``carry = head(s, carry)`` over consecutive slices ``s`` of
-    ``range(n)``, ``block`` long, in slice order, and ``tail(s)`` after
-    each slice's own head; return the last carry.
+def run_chain(head, tail, n: int, carry):
+    """Run ``carry = head(s, carry)`` over the consecutive slices ``s``
+    of ``range(n)`` that ``run_blocks`` takes, in slice order, and
+    ``tail(s)`` after each slice's own head; return the last carry.
 
     Each head starts after the one before it has returned, on whichever
     worker took its slice, and that worker runs the slice's tail right
@@ -144,15 +148,14 @@ def run_chain(head, tail, n: int, block: int, carry):
     state = {"next": 0, "carry": carry, "failed": False}   # guarded by ``turn``
 
     def link(s: slice) -> None:
-        k = s.start // block
-        with turn:
-            turn.wait_for(lambda: state["next"] == k or state["failed"])
+        with turn:      # a head's turn comes when the slice before it is summed
+            turn.wait_for(lambda: state["next"] == s.start or state["failed"])
             if state["failed"]:
                 return
         try:
             carried = head(s, state["carry"])
             with turn:
-                state["carry"], state["next"] = carried, k + 1
+                state["carry"], state["next"] = carried, s.stop
                 turn.notify_all()
             tail(s)
         except BaseException:
@@ -160,7 +163,7 @@ def run_chain(head, tail, n: int, block: int, carry):
                 state["failed"] = True
                 turn.notify_all()
             raise
-    run_blocks(link, n, block)
+    run_blocks(link, n)
     return state["carry"]
 
 
@@ -204,10 +207,14 @@ def derive_params(b0: float, rep_rate: float, fs: int, strict: bool = False) -> 
     fs = int(fs)
     if b0 <= 0 or rep_rate <= 0 or fs <= 0:
         raise ConfigError("b0, rep_rate and fs must be positive")
+    try:
+        n_f = fs / rep_rate
+        n = int(round(n_f))
+    except OverflowError:   # fs, or the period, is beyond a float
+        raise ConfigError(f"fs is too large: fs / rep_rate must fit a float, got "
+                          f"{fs.bit_length()} bits") from None
     if b0 >= fs / 2:
         raise AliasingError(f"chirp bandwidth {b0} Hz needs fs > {2 * b0:.0f}, got {fs}")
-    n_f = fs / rep_rate
-    n = int(round(n_f))
     if abs(n_f - n) > 1e-9 or n < 1:
         raise ConfigError(f"fs={fs} is not divisible by rep_rate={rep_rate}")
     if strict:
@@ -228,7 +235,7 @@ def reference_chirp(params: ChirpParams, n_periods: int) -> IqBuffer:
     if n_periods < 1:
         raise ConfigError("n_periods must be >= 1")
     out = np.empty(n_periods * params.n, dtype=np.complex128)
-    conj_reference(periodic_reference(params, len(out)), 0, out)
+    conj_reference(periodic_reference(params), 0, out)
     return IqBuffer(samples=np.conj(out, out=out), fs=params.fs)
 
 
@@ -245,7 +252,7 @@ def reference_tail(params: ChirpParams, n_samples: int) -> np.ndarray:
         raise ConfigError(f"tail length must be in [0, {params.n}], got {n_samples}")
     if n_samples == 0:
         return np.zeros(0, dtype=np.complex128)
-    conj_period = periodic_reference(params, 0)[0]
+    conj_period = periodic_reference(params)[0]
     # phase at the (virtual) next sample equals phase of the last one because
     # the post-wrap IF is exactly 0, so rotating by conj(last) lands at 0.
     return np.conj(conj_period[params.n - n_samples:]) * conj_period[params.n - 1]
@@ -256,10 +263,10 @@ def reference_tail(params: ChirpParams, n_samples: int) -> np.ndarray:
 _PERIODS: dict[ChirpParams, tuple[np.ndarray, float]] = {}
 
 
-def periodic_reference(params: ChirpParams, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """The conjugate of the first ``n_samples`` of the endless periodic
-    reference chirp, as period 0 (cached, read-only) and one phasor per
-    period, for ``conj_reference`` to write any span of.
+def periodic_reference(params: ChirpParams) -> tuple[np.ndarray, float]:
+    """The endless periodic reference chirp, conjugated, as period 0
+    (cached, read-only) and ``frac``, for ``conj_reference`` and
+    ``mix_reference`` to write any span of: no caller states a length.
 
     Period 0 is ``exp(1j * (2*pi/fs) * cumsum(k0 * arange(N)))``.  Each
     period's phase sum starts where the one before ended, so period k is
@@ -269,8 +276,6 @@ def periodic_reference(params: ChirpParams, n_samples: int) -> tuple[np.ndarray,
     running ``cumsum`` drifts further.  Callers that build period 0 at
     the same time build the same bits, and ``setdefault`` keeps one.
     """
-    if n_samples < 0:
-        raise ConfigError(f"reference length must be >= 0, got {n_samples}")
     cached = _PERIODS.get(params)
     if cached is None:
         phase = np.arange(params.n, dtype=np.float64)
@@ -279,32 +284,49 @@ def periodic_reference(params: ChirpParams, n_samples: int) -> tuple[np.ndarray,
         period = np.conj(np.exp(1j * ((2.0 * np.pi / params.fs) * phase)))
         period.flags.writeable = False    # shared by every caller
         cached = _PERIODS.setdefault(params, (period, math.fmod(phase[-1] / params.fs, 1.0)))
-    conj_period, frac = cached
-    turns = np.mod(np.arange(-(-n_samples // params.n)) * frac, 1.0)
-    return conj_period, np.conj(np.exp(1j * (2.0 * np.pi) * turns))
+    return cached
 
 
-def conj_reference(ref: tuple[np.ndarray, np.ndarray], lo: int, out: np.ndarray) -> np.ndarray:
+def conj_reference(ref: tuple[np.ndarray, float], lo: int, out: np.ndarray) -> np.ndarray:
     """Write the conjugate reference of samples ``lo .. lo+w-1`` into
     the complex128 ``out`` of length w, from ``ref =
     periodic_reference(...)``, and return it.  A 2-D ``out`` takes w
     samples per row, each row one period after the row before.
 
-    Each period piece is the conjugate phasor times a slice of the
-    conjugate period, the phasor first: numpy's complex multiply is not
-    bitwise commutative, and in this order a piece equals
-    ``conj(phasor * period)`` bit for bit.
-    """
-    conj_period, conj_phasors = ref
+    Each piece of period k is its phasor ``conj(exp(1j*2*pi*mod(k*frac,
+    1)))``, taken elementwise, times a slice of the conjugate period, the
+    phasor first: in this order a piece equals ``conj(phasor * period)``
+    bit for bit, whatever span it is written for."""
+    conj_period, frac = ref
     n, rows, width = len(conj_period), out if out.ndim == 2 else out[None], out.shape[-1]
+    first = lo // n
+    turns = np.mod(np.arange(first, (lo + width - 1) // n + len(rows)) * frac, 1.0)
+    conj_phasors = np.conj(np.exp(1j * (2.0 * np.pi) * turns))
     pos = 0
     while pos < width:
         k, j = divmod(lo + pos, n)
         take = min(n - j, width - pos)
-        np.multiply(conj_phasors[k:k + len(rows), None], conj_period[j:j + take],
+        np.multiply(conj_phasors[k - first:k - first + len(rows), None], conj_period[j:j + take],
                     out=rows[:, pos:pos + take])
         pos += take
     return out
+
+
+def mix_reference(rx: np.ndarray, ref: tuple[np.ndarray, float], lo: int,
+                  out: np.ndarray) -> np.ndarray:
+    """Write ``rx * conj(reference)`` of samples ``lo .. lo+w-1`` into
+    the complex128 ``out`` of length w, rx[0] meeting reference sample 0,
+    and return it.  A 2-D ``out`` takes rows one period apart, of both
+    operands.  rx goes first, in every mix of the package: the complex
+    multiply is not commutative bit for bit, and in this order a span
+    equals the same span of one full-array product (numpy multiplies a
+    lone element in place on another path, so a one-sample span may not)."""
+    conj_reference(ref, lo, out)
+    if out.ndim == 1:
+        return np.multiply(rx[lo:lo + len(out)], out, out=out)
+    n, (rows, width) = len(ref[0]), out.shape
+    span = np.lib.stride_tricks.sliding_window_view(rx[lo:lo + (rows - 1) * n + width], width)
+    return np.multiply(span[::n], out, out=out)
 
 
 def unwrap_correction(step: np.ndarray) -> np.ndarray:

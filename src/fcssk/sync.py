@@ -31,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from . import sigcore
 from .errors import ConfigError, SyncError
-from .sigcore import ChirpParams, IqBuffer, periodic_reference, run_blocks, unwrap_correction
+from .sigcore import (ChirpParams, IqBuffer, mix_reference, periodic_reference, run_blocks,
+                      unwrap_correction)
 
 # periods of the incoming stream used for spectra / boundary slips
 MAX_COARSE_PERIODS = 64
@@ -69,16 +68,13 @@ def _mixed_periodogram(rx: np.ndarray, params: ChirpParams, start: int,
     first, repeated Manchester 128 b/s trials peaked at 118 or 126 MB
     depending on where the allocator placed the arrays.
     """
-    n = params.n
-    ref = periodic_reference(params, periods * n)
-    x = rx[start:start + periods * n].reshape(periods, n)
+    n, ref = params.n, periodic_reference(params)
     spectra = np.empty((periods, n), dtype=np.complex128)
 
     def rows(r: slice) -> None:
-        z = sigcore.conj_reference(ref, r.start * n, spectra[r])
-        np.multiply(x[r], z, out=z)              # rx first, as in a full-array product
+        z = mix_reference(rx[start:], ref, r.start * n, spectra[r])
         np.fft.fft(z, axis=1, out=z)
-    run_blocks(rows, periods, max(sigcore.PARALLEL_BLOCK // n, 1))
+    run_blocks(rows, periods, n)
     power = np.abs(spectra)
     power **= 2
     return power.mean(axis=0)
@@ -110,10 +106,10 @@ def _measure_slips(rx: np.ndarray, params: ChirpParams, t0: int, guard: int) -> 
     symmetric second difference that cancels the modulation trend), each
     phase probe being a short local average.  Valid while |d| < G.
 
-    Each boundary window is one row of a strided view, and the rows run
-    a few at a time on ``run_blocks``; a row's slip depends on that row
-    alone, and the mean is taken over all rows at once, after them, so
-    the result does not depend on the split.  Each window's phase is
+    Each boundary window is one row that ``mix_reference`` mixes, and
+    the rows run a few at a time on ``run_blocks``; a row's slip depends
+    on that row alone, and the mean is taken over all rows at once,
+    after them, so the result does not depend on the split.  Each window's phase is
     unwrapped only where it is read: ``np.unwrap``'s correction runs at
     the wrap steps, its running sum per row is looked up at the four
     probe spans, and the result equals unwrapping every window in full,
@@ -128,20 +124,14 @@ def _measure_slips(rx: np.ndarray, params: ChirpParams, t0: int, guard: int) -> 
     if count <= 0:
         return 0.0
     lo = first * n - half
-    hi = lo + (count - 1) * n + width
-    ref = periodic_reference(params, hi)
-    rx_windows = sliding_window_view(rx[t0 + lo:t0 + hi], width)[::n]
+    ref = periodic_reference(params)
     centers = half + guard * np.array([-3, -1, 1, 3])
     cols = centers[:, None] + np.arange(-SLIP_AVG, SLIP_AVG + 1)   # (4, 2*SLIP_AVG+1)
 
     def slips(r: slice) -> np.ndarray:
         rows = r.stop - r.start
-        seg = sigcore.conj_reference(ref, lo + r.start * n,
-                                     np.empty((rows, width), dtype=np.complex128))
-        # rx as the first operand, as in a per-window rx * conj(ref): same rounding
-        np.multiply(rx_windows[r], seg, out=seg)
-        phase = np.angle(seg)
-        del seg
+        phase = np.angle(mix_reference(rx[t0:], ref, lo + r.start * n,
+                                       np.empty((rows, width), dtype=np.complex128)))
         step = np.diff(phase, axis=1)
         span = step.shape[1]
         wraps = np.flatnonzero(np.abs(step) >= np.pi)           # row * span + step index
@@ -157,7 +147,7 @@ def _measure_slips(rx: np.ndarray, params: ChirpParams, t0: int, guard: int) -> 
         probes = phase[:, cols] + offsets[row, before]
         far_pre, near_pre, near_post, far_post = probes.mean(axis=-1).T
         return (near_post - near_pre) - 0.5 * ((near_pre - far_pre) + (far_post - near_post))
-    slip = np.concatenate(run_blocks(slips, count, max(sigcore.PARALLEL_BLOCK // width, 1)))
+    slip = np.concatenate(run_blocks(slips, count, width))
     d = float(np.mean(slip * fs / (2.0 * np.pi * b0)))
     # a pass is only valid for |d| < guard; clamp runaway noise estimates
     return float(np.clip(d, -guard, guard))

@@ -99,7 +99,7 @@ def modulate(frame: CodedFrame, mp: ModParams) -> IqBuffer:
         block = out[s]
         block.imag *= 2.0 * np.pi / fs
         np.exp(block, out=block)
-    sigcore.run_chain(phase_sums, scale_exp, len(out), sigcore.PARALLEL_BLOCK, (0.0, 0.0))
+    sigcore.run_chain(phase_sums, scale_exp, len(out), (0.0, 0.0))
     return IqBuffer(samples=out, fs=fs)
 
 

@@ -850,6 +850,16 @@ class TestChirpOptions:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_fs_beyond_a_float_refused(self, tmp_path, capsys):
+        # argparse's int accepts a 401-digit fs, and fs / 2 overflows a float
+        (tmp_path / "in.txt").write_text("01" * 16)
+        out = tmp_path / "out"
+        assert run(["modulate", "--in", tmp_path / "in.txt", "--out", out,
+                    "--fs", "1" + "0" * 400]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fs is too large: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTheoryCommand:
     # sha256 of each CSV on the default grid, recorded while theory_curve

@@ -324,7 +324,10 @@ class TestDownconvert:
         np.multiply(rx.samples.astype(np.complex128), bb, out=bb)
         h = design_lowpass(default_cutoff(mp), rx.fs)
         nfft = _fft_size(len(h))
-        return _overlap_save(bb, h, np.fft.fft(h, nfft), nfft, lag=(len(h) - 1) // 2)
+
+        def copy(a, b, out):
+            out[:] = bb[a:b]
+        return _overlap_save(copy, len(bb), h, np.fft.fft(h, nfft), nfft, lag=(len(h) - 1) // 2)
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     def test_group_mix_is_the_full_product(self, man128, dtype):
@@ -342,9 +345,9 @@ class TestDownconvert:
     def test_reference_looked_up_through_ifest(self, man128, monkeypatch):
         # the bench tracer counts calls at ifest.periodic_reference
         calls = []
-        def counted(params, n_samples):
-            calls.append(n_samples)
-            return periodic_reference(params, n_samples)
+        def counted(params):
+            calls.append(params)
+            return periodic_reference(params)
         monkeypatch.setattr(ifest, "periodic_reference", counted)
         downconvert(reference_chirp(man128.chirp, 1), man128)
-        assert calls == [man128.chirp.n]
+        assert calls == [man128.chirp]

@@ -14,9 +14,9 @@ from fcssk import AliasingError, ConfigError, IqBuffer, derive_params, reference
 from fcssk import sigcore
 from fcssk.codec import CodedFrame
 from fcssk.channel import apply_delay
-from fcssk.sigcore import (PARALLEL_BLOCK, conj_reference, first_non_finite, parallel_workers,
-                           periodic_reference, reference_tail, run_blocks, run_chain,
-                           run_parallel, serially)
+from fcssk.sigcore import (PARALLEL_BLOCK, conj_reference, first_non_finite, mix_reference,
+                           parallel_workers, periodic_reference, reference_tail, run_blocks,
+                           run_chain, run_parallel, serially)
 from if_reference import (instantaneous_frequency, modulated_frequency, reference_frequency,
                           synthesize, unwrap_in_place, unwrap_phase)
 
@@ -70,6 +70,14 @@ class TestDeriveParams:
         assert p == derive_params(1024.0, 4.0, 65536)
         assert type(p.fs) is int and type(p.n) is int
 
+    @pytest.mark.parametrize("rep_rate,fs", [(4.0, 10**400), (4.0, 2**1024 - 1),
+                                             (0.5, 10**308)],
+                             ids=["1e400", "2**1024-1", "1e308-at-0.5"])
+    def test_fs_beyond_a_float_refused(self, rep_rate, fs):
+        # fs / 2, float(fs) and the period's int(round(inf)) each overflow here
+        with pytest.raises(ConfigError, match="^fs is too large: fs / rep_rate must fit a float"):
+            derive_params(1024.0, rep_rate, fs)
+
     def test_strict_envelope(self):
         with pytest.raises(ConfigError):
             derive_params(1024.0, 8.0, 65536, strict=True)
@@ -113,12 +121,12 @@ class TestReferenceChirp:
 class TestPeriodicReference:
     def test_is_the_reference_chirp(self, chirp):
         span = np.empty(2 * chirp.n + 5, dtype=np.complex128)
-        conj_reference(periodic_reference(chirp, len(span)), 0, span)
+        conj_reference(periodic_reference(chirp), 0, span)
         assert same_bits(span, np.conj(reference_chirp(chirp, 3).samples[:len(span)]))
 
     def test_read_only(self, chirp):
         # concurrent trials share the cached period
-        conj_period, _ = periodic_reference(chirp, chirp.n)
+        conj_period, _ = periodic_reference(chirp)
         with pytest.raises(ValueError):
             conj_period[0] = 0.0
         with pytest.raises(ValueError):
@@ -134,22 +142,17 @@ class TestPeriodicReference:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
-                got = list(pool.map(lambda k: periodic_reference(chirp, k * chirp.n)[0],
-                                    range(32), timeout=60))
+                got = list(pool.map(lambda k: periodic_reference(chirp)[0], range(32),
+                                    timeout=60))
         finally:
             sys.setswitchinterval(interval)
         assert all(g is sigcore._PERIODS[chirp][0] for g in got)
         assert same_bits(got[0], want)
 
-    def test_negative_length_refused(self, chirp):
-        periodic_reference(chirp, chirp.n)
-        with pytest.raises(ConfigError, match="must be >= 0, got -5"):
-            periodic_reference(chirp, -5)
-
     def test_zero_length_is_empty(self, chirp, monkeypatch):
         monkeypatch.setattr(sigcore, "_PERIODS", {})
-        ref = periodic_reference(chirp, 0)
-        assert len(ref[0]) == chirp.n and len(ref[1]) == 0
+        ref = periodic_reference(chirp)
+        assert len(ref[0]) == chirp.n
         assert len(conj_reference(ref, 0, np.empty(0, dtype=np.complex128))) == 0
 
     @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
@@ -161,7 +164,7 @@ class TestPeriodicReference:
         n, k = chirp.n, 256
         sums = list(itertools.accumulate(Fraction(v) for v in (np.arange(n) * chirp.k0).tolist()))
         exact = np.array([float((k * sums[-1] + s) / chirp.fs % 1) for s in sums])
-        last = conj_reference(periodic_reference(chirp, (k + 1) * n), k * n,
+        last = conj_reference(periodic_reference(chirp), k * n,
                               np.empty(n, dtype=np.complex128))
         error = (np.angle(last) / (2.0 * np.pi) + exact + 0.5) % 1.0 - 0.5
         assert np.abs(error).max() * 2.0 * np.pi < 1e-10
@@ -173,7 +176,7 @@ class TestPeriodicReference:
         chirp = derive_params(*config)
         n = chirp.n
         want = np.conj(reference_chirp(chirp, 9).samples)
-        ref = periodic_reference(chirp, len(want))
+        ref = periodic_reference(chirp)
         for lo, hi in ((0, 0), (5, 5), (n - 1, n), (3 * n, 3 * n + 1), (7, n - 3),
                        (n // 2, 3 * n + n // 3), (n - 1, n + 1), (2 * n, 4 * n),
                        (17, 17 + 12321), (0, 9 * n)):
@@ -182,6 +185,35 @@ class TestPeriodicReference:
             if hi + 2 * n <= len(want):     # rows one period apart, as the sync passes take them
                 rows = conj_reference(ref, lo, np.empty((3, hi - lo), dtype=np.complex128))
                 assert same_bits(rows, np.stack([want[lo + k * n:hi + k * n] for k in range(3)]))
+
+
+class TestMixReference:
+    """rx goes first in every mix, so each span of it, and each set of rows
+    one period apart, is a slice of one full-array product."""
+
+    @pytest.mark.parametrize("config", [(1024.0, 4.0, 8000), (300.0, 3.0, 2997)])
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_spans_and_rows_are_slices_of_the_full_product(self, config, dtype):
+        # 260 periods of 2000 and of 999 samples: spans past period 256 too
+        chirp = derive_params(*config)
+        n, periods = chirp.n, 260
+        rng = np.random.default_rng(8)
+        rx = (rng.standard_normal(periods * n)
+              + 1j * rng.standard_normal(periods * n)).astype(dtype)
+        # named: on a temporary, numpy would run ``*`` in place with the
+        # operands swapped, and the complex multiply is not commutative
+        conj = np.conj(reference_chirp(chirp, periods).samples)
+        want = rx * conj
+        ref = periodic_reference(chirp)
+        # the 1-D (0, 1) span holds for these values only: numpy multiplies
+        # a lone element in place on another path, which may round otherwise
+        for lo, width in ((0, 1), (0, n), (n - 3, 7), (5, 3 * n), (n - 1, 2),
+                          (256 * n + n // 2, n + 1), (257 * n - 2, 5)):
+            span = mix_reference(rx, ref, lo, np.empty(width, dtype=np.complex128))
+            assert same_bits(span, want[lo:lo + width]), (lo, width)
+            rows = mix_reference(rx, ref, lo, np.empty((3, width), dtype=np.complex128))
+            assert same_bits(rows, np.stack([want[lo + k * n:lo + k * n + width]
+                                             for k in range(3)])), (lo, width)
 
 
 class TestInstantaneousFrequency:
@@ -398,6 +430,21 @@ class TestRunParallel:
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         assert len(spans) == 6 and run_blocks(lambda s: s, 0) == []
 
+    @pytest.mark.parametrize("block", [97, 65536])
+    @pytest.mark.parametrize("width", [1, 7, 12321, 16384])
+    def test_run_blocks_takes_the_fewest_rows_that_reach_a_block(self, monkeypatch, block,
+                                                                 width):
+        # the one block rule: rows of ``width`` samples, each slice but the
+        # last the fewest whole rows that reach PARALLEL_BLOCK samples
+        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sigcore, "PARALLEL_BLOCK", block)
+        rows = -(-block // width)
+        for n in (0, 1, rows - 1, rows, rows + 1, 5 * rows + 3):
+            spans = run_blocks(lambda s: s, n, width)
+            assert [i for s in spans for i in range(s.start, s.stop)] == list(range(n))
+            assert all(s.stop - s.start == rows for s in spans[:-1])
+            assert all(0 < s.stop - s.start <= rows for s in spans)
+
 
 def finishes(fn, *args, timeout=10.0):
     """``fn(*args)`` on a helper thread: its result, or the exception it
@@ -423,6 +470,7 @@ class TestRunChain:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_heads_carry_in_order_and_each_tail_follows_its_head(self, monkeypatch, cpus):
         monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sigcore, "PARALLEL_BLOCK", 5)
         log, lock = [], threading.Lock()
 
         workers = {}
@@ -438,7 +486,7 @@ class TestRunChain:
             with lock:
                 log.append(("tail", s.start))
             assert workers[s.start] == threading.current_thread().name   # its head's worker
-        assert run_chain(head, tail, 47, 5, []) == list(range(0, 47, 5))
+        assert run_chain(head, tail, 47, []) == list(range(0, 47, 5))
         heads = [entry for entry in log if entry[0] == "head"]
         assert heads == [("head", lo, list(range(0, lo, 5))) for lo in range(0, 47, 5)]
         for lo in range(0, 47, 5):
@@ -449,6 +497,7 @@ class TestRunChain:
         # frequent thread switches: a lost carry or a head run out of turn
         # breaks the running sum or the order
         monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(sigcore, "PARALLEL_BLOCK", 1)
         heads, tails = [], []
 
         def head(s, carry):
@@ -460,7 +509,7 @@ class TestRunChain:
             for _ in range(20):
                 heads.clear()
                 tails.clear()
-                box = finishes(run_chain, head, lambda s: tails.append(s.start), 200, 1, 0)
+                box = finishes(run_chain, head, lambda s: tails.append(s.start), 200, 0)
                 assert box.get("result") == sum(range(200))
                 assert heads == list(range(200)) and sorted(tails) == heads
         finally:
@@ -470,6 +519,7 @@ class TestRunChain:
     def test_a_tail_overlaps_a_later_head(self, monkeypatch):
         # tail 0 holds its worker until head 1 has started on the other one
         monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sigcore, "PARALLEL_BLOCK", 1)
         head_one = threading.Event()
         overlapped = []
 
@@ -481,11 +531,12 @@ class TestRunChain:
         def tail(s):
             if s.start == 0:
                 overlapped.append(head_one.wait(10))
-        finishes(run_chain, head, tail, 2, 1, None)
+        finishes(run_chain, head, tail, 2, None)
         assert overlapped == [True]
 
     def test_a_raising_head_is_raised_and_no_later_head_runs(self, monkeypatch):
         monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(sigcore, "PARALLEL_BLOCK", 1)
         heads = []
 
         def head(s, carry):
@@ -494,7 +545,7 @@ class TestRunChain:
                 time.sleep(0.2)       # the other workers take items 4 and 5 and wait
                 raise ConfigError("head 3 failed")
             return carry
-        box = finishes(run_chain, head, lambda s: None, 20, 1, None)
+        box = finishes(run_chain, head, lambda s: None, 20, None)
         assert isinstance(box.get("error"), ConfigError)
         assert str(box["error"]) == "head 3 failed"
         assert heads == [0, 1, 2, 3]
@@ -503,11 +554,12 @@ class TestRunChain:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_raising_tail_is_raised(self, monkeypatch, cpus):
         monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sigcore, "PARALLEL_BLOCK", 1)
 
         def tail(s):
             if s.start == 2:
                 raise ConfigError("tail 2 failed")
-        box = finishes(run_chain, lambda s, carry: carry, tail, 10, 1, None)
+        box = finishes(run_chain, lambda s, carry: carry, tail, 10, None)
         assert isinstance(box.get("error"), ConfigError)
         assert str(box["error"]) == "tail 2 failed"
         assert not fcssk_threads()
@@ -515,6 +567,7 @@ class TestRunChain:
     @pytest.mark.parametrize("cpus,inside", [(1, False), (3, True)])
     def test_one_worker_runs_inline_in_item_order(self, monkeypatch, cpus, inside):
         monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sigcore, "PARALLEL_BLOCK", 2)
         before, me = threading.active_count(), threading.current_thread().name
         log = []
 
@@ -526,7 +579,7 @@ class TestRunChain:
         def tail(s):
             log.append(("tail", s.start, threading.current_thread().name,
                         threading.active_count()))
-        args = (head, tail, 6, 2, 0)
+        args = (head, tail, 6, 0)
         assert (serially(run_chain, *args) if inside else run_chain(*args)) == 3
         assert log == [(kind, lo, me, before) for lo in (0, 2, 4) for kind in ("head", "tail")]
 
@@ -534,8 +587,7 @@ class TestRunChain:
         monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 2)
         ran = []
         carry = object()
-        assert run_chain(lambda s, c: ran.append(s), lambda s: ran.append(s), 0, 4,
-                         carry) is carry
+        assert run_chain(lambda s, c: ran.append(s), lambda s: ran.append(s), 0, carry) is carry
         assert ran == []
 
 

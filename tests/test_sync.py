@@ -69,9 +69,9 @@ class TestEstimateTiming:
         # while the spans are written on the block threads
         lookups, spans = [], set()
         for module in (sync, ifest):
-            def counted(params, n_samples, module=module, look_up=module.periodic_reference):
+            def counted(params, module=module, look_up=module.periodic_reference):
                 lookups.append((module.__name__, threading.current_thread()))
-                return look_up(params, n_samples)
+                return look_up(params)
             monkeypatch.setattr(module, "periodic_reference", counted)
 
         def written(ref, lo, out, write=sigcore.conj_reference):
