@@ -18,27 +18,31 @@ import numpy as np
 
 from . import channel, codec, detect, ifest, sync, txmod
 from .errors import ConfigError, NonFiniteSampleError, SyncError
-from .sigcore import IqBuffer, first_non_finite, run_parallel
+from .sigcore import IqBuffer, run_parallel
 
 TRIAL_BITS = 2004          # per-trial burst size; divisible by 6 for 6b8b
 ESTIMATORS = ("dpll", "lls")
 
 
-def _check_estimator(estimator: str) -> None:
-    if estimator not in ESTIMATORS:
-        raise ConfigError(f"unknown estimator {estimator!r}, use {' or '.join(ESTIMATORS)}")
+def estimator_params(mp: txmod.ModParams, estimator: str) -> ifest.DpllParams | ifest.LlsParams:
+    """The parameters of ``ifest.<estimator>_track`` at ``mp``, or ConfigError."""
+    if estimator == "dpll":
+        return ifest.default_dpll(mp)
+    if estimator == "lls":
+        return ifest.LlsParams(window_len=mp.coded_bit_len)
+    raise ConfigError(f"unknown estimator {estimator!r}, use {' or '.join(ESTIMATORS)}")
 
 
 def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
                   use_sync: bool) -> np.ndarray:
     """sync -> downconvert -> IF estimation -> detection: the int64 info bits
-    of the capture ``rx``, which must be sampled at ``mp.chirp.fs``, with
-    ``estimator`` one of ESTIMATORS."""
-    _check_estimator(estimator)
+    of the capture ``rx``.  Checked first, before any stage: ``estimator_params``,
+    ``rx.fs == mp.chirp.fs``, then one scan for NaN and infinity in ``rx``."""
+    params = estimator_params(mp, estimator)
     if rx.fs != mp.chirp.fs:
         raise ConfigError(f"capture is at {rx.fs} S/s, the chirp at {mp.chirp.fs} S/s")
-    index = first_non_finite(rx.samples)
-    if index is not None:
+    if not np.isfinite(rx.samples).all():
+        index = int(np.argmin(np.isfinite(rx.samples)))
         raise NonFiniteSampleError(f"sample {index} is {rx.samples[index]}, "
                                    f"not a finite number", index=index)
     if use_sync:
@@ -50,11 +54,8 @@ def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
     # The baseband is handed on the same way, popped inline, so the
     # estimator frees it once it holds its phase.
     del rx
-    if estimator == "dpll":
-        track = ifest.dpll_track(baseband.pop(), ifest.default_dpll(mp))
-    else:
-        track = ifest.lls_track(baseband.pop(), ifest.LlsParams(window_len=mp.coded_bit_len))
-    return detect.decide(track, mp)
+    estimate = ifest.dpll_track if estimator == "dpll" else ifest.lls_track
+    return detect.decide(estimate(baseband.pop(), params), mp)
 
 
 def period_bits(mp: txmod.ModParams) -> int:
@@ -114,10 +115,11 @@ def simulate(mp: txmod.ModParams, estimator: str, points: list[tuple[int, float]
     ``points``, selects the point's random streams.  The trials of all
     points run as one batch on ``run_parallel``; a remainder trial shorter
     than one chirp period joins the trial before it.  Before any trial
-    runs, raises ConfigError for an estimator not in ESTIMATORS, a negative
-    seed, or ``bits`` that fill no trial or, with ``use_sync``, a trial
-    shorter than one period."""
-    _check_estimator(estimator)
+    runs, raises ConfigError for an estimator not in ESTIMATORS or whose
+    parameters ``estimator_params`` refuses at ``mp``, a negative seed, or
+    ``bits`` that fill no trial or, with ``use_sync``, a trial shorter than
+    one period."""
+    estimator_params(mp, estimator)
     if bits < 1:
         raise ConfigError(f"--bits must be at least 1, got {bits}")
     if seed < 0:

@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-from . import sigcore
 from .errors import ConfigError
-from .sigcore import ChirpParams, IqBuffer, reference_tail
+from .sigcore import ChirpParams, IqBuffer, block_slices, reference_tail
 
 # purpose tags for derived PRNG streams, so one master seed reproduces
 # an entire simulation without stream collisions
@@ -52,11 +51,10 @@ def apply_awgn(buf: IqBuffer, snr_db: float | None, rng: np.random.Generator) ->
     an SNR whose noise power overflows a float (below about -3083 dB)
     raise ConfigError.
 
-    All of I is drawn, then all of Q, each in pieces of
-    ``sigcore.PARALLEL_BLOCK`` samples straight into the one complex
-    output, which is then scaled and has the signal added in place.  A
-    draw split into pieces is the same draw, so the result equals
-    ``samples + scale * (I + 1j*Q)`` bit for bit.
+    All of I is drawn, then all of Q, in the pieces of ``block_slices``,
+    into the one complex output, which is then scaled and has the signal
+    added in place.  A draw split into pieces is the same draw, so the
+    result equals ``samples + scale * (I + 1j*Q)`` bit for bit.
     """
     if snr_db is None or snr_db == np.inf:
         return buf
@@ -64,14 +62,10 @@ def apply_awgn(buf: IqBuffer, snr_db: float | None, rng: np.random.Generator) ->
         raise ConfigError(f"SNR must be a finite number of dB or +inf, got {snr_db}")
     sigma2 = db_to_linear(-float(snr_db))
     scale = np.sqrt(sigma2 / 2.0)
-    n, size = len(buf.samples), sigcore.PARALLEL_BLOCK
-    noise = np.empty(n, dtype=np.complex128)
-    chunk = np.empty(min(n, size))   # standard_normal(out=) needs a contiguous array
+    noise = np.empty(len(buf.samples), dtype=np.complex128)
     for quadrature in (noise.real, noise.imag):
-        for lo in range(0, n, size):
-            draw = chunk[:min(size, n - lo)]
-            rng.standard_normal(out=draw)
-            quadrature[lo:lo + len(draw)] = draw
+        for piece in block_slices(len(noise)):
+            quadrature[piece] = rng.standard_normal(piece.stop - piece.start)
     noise *= scale
     noise += buf.samples
     return IqBuffer(samples=noise, fs=buf.fs)

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import chain, codec, theory, txmod
 from .chain import TRIAL_BITS
-from .errors import FcsskError, FileFormatError
-from .sigcore import IqBuffer, derive_params, first_non_finite
+from .errors import FcsskError, FileFormatError, NonFiniteSampleError
+from .sigcore import IqBuffer, derive_params
 
 CSV_HEADER = "snr_db,code,bitrate,estimator,bits,errors,ber"
 DEFAULT_BITS = 100_000
@@ -70,18 +70,15 @@ def write_bits(path: str, bits) -> None:
 
 
 def read_cf32(path: str) -> np.ndarray:
+    """The file's I,Q pairs as stored, a complex64 view (consumers widen it exactly), or
+    FileFormatError for a partial pair; NaN and infinity are ``receive_chain``'s to find."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) % 8:
         raise FileFormatError(
             f"{path}: length {len(raw)} is not a multiple of 8 bytes "
             "(interleaved float32 I,Q pairs)", offset=len(raw) - len(raw) % 8)
-    bad = first_non_finite(np.frombuffer(raw, dtype="<f4"))
-    if bad is not None:
-        offset = 8 * (bad // 2)  # start of the first bad I,Q pair
-        raise FileFormatError(f"{path}: non-finite sample at byte offset {offset}",
-                              offset=offset)
-    return np.frombuffer(raw, dtype="<c8")   # as stored: every consumer widens it exactly
+    return np.frombuffer(raw, dtype="<c8")
 
 
 def write_cf32(path: str, samples: np.ndarray) -> None:
@@ -191,8 +188,12 @@ def cmd_modulate(args) -> int:
 
 def cmd_demodulate(args) -> int:
     mp = _mod_params_from_args(args)
-    bits = chain.receive_chain(IqBuffer(samples=read_cf32(args.infile), fs=mp.chirp.fs),
-                               mp, args.estimator, use_sync=not args.no_sync)
+    try:
+        bits = chain.receive_chain(IqBuffer(samples=read_cf32(args.infile), fs=mp.chirp.fs),
+                                   mp, args.estimator, use_sync=not args.no_sync)
+    except NonFiniteSampleError as exc:   # named by its place in the file
+        raise FileFormatError(f"{args.infile}: non-finite sample at byte offset "
+                              f"{8 * exc.index}", offset=8 * exc.index) from None
     write_bits(args.outfile, bits)
     return 0
 

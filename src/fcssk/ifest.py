@@ -4,8 +4,8 @@ Two estimators are provided:
 
 * a second-order digital PLL whose closed loop realizes
   H(z) = (C1*(z-1) + C2*(z-1)^2) / ((z-1)^2 + C2*(z-1) + C1)
-  from input phase to estimated frequency, with C2 = 2*zeta*w0/fs and
-  C1 = C2^2/(4*zeta^2); a type-2 loop with zero steady-state error on
+  from input phase to estimated frequency, with C2 = 2*ZETA*w0/fs and
+  C1 = C2^2/(4*ZETA^2); a type-2 loop with zero steady-state error on
   frequency steps and ramps tracked with constant phase lag.  The loop is
   linear in the unwrapped input phase except where its wrapped phase
   error leaves [-pi, pi) (a cycle slip), and a slip is a 2*pi phase step
@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sigcore
 from .errors import ConfigError
-from .sigcore import (IqBuffer, mix_reference, periodic_reference, run_blocks, run_chain,
-                      unwrap_step)
+from .sigcore import (IqBuffer, block_slices, mix_reference, periodic_reference, run_blocks,
+                      run_chain, unwrap_step)
 from .txmod import ModParams, peak_deviation
 
 LOWPASS_SPAN_S = 128 / 65536  # lowpass length, s: 128 sample intervals at 65536 S/s
@@ -38,6 +37,7 @@ MAX_SLOPE_LAG = math.pi / 2   # rad: half the phase detector's range, half kept 
 SLIP_TAIL = 1e-20     # step-response magnitude below which a slip's effect ends
 SLIP_SCAN = 8192      # samples checked per step of the cycle-slip scan
 TWO_PI = 2.0 * math.pi
+ZETA = 1.0 / math.sqrt(2.0)   # the DPLL's damping
 
 
 @dataclass(frozen=True)
@@ -49,22 +49,29 @@ class DpllParams:
 
 @dataclass(frozen=True)
 class LlsParams:
+    """A degree >= 2 phase fit over windows of more than degree + 1
+    samples: ConfigError where it is built otherwise."""
+
     window_len: int       # samples (L); normally the coded-bit length
     degree: int = 5       # phase polynomial degree (lambda)
 
+    def __post_init__(self):
+        if self.degree < 2:
+            raise ConfigError("polynomial degree must be >= 2")
+        if self.window_len <= self.degree + 1:
+            raise ConfigError(f"window_len {self.window_len} must exceed degree+1")
 
-def make_dpll_params(fs: int, f_nat: float, zeta: float = 1.0 / math.sqrt(2.0)) -> DpllParams:
-    """Loop gains for a target natural frequency and damping.
 
-    Requires fs >> w0/(2*pi); enforced as fs >= 50*f_nat.
-    """
-    if f_nat <= 0 or zeta <= 0:
-        raise ConfigError("f_nat and zeta must be positive")
+def make_dpll_params(fs: int, f_nat: float) -> DpllParams:
+    """Loop gains for the natural frequency ``f_nat`` at the fixed damping
+    ZETA; fs >> w0/(2*pi) is required, as fs >= 50*f_nat (ConfigError)."""
+    if f_nat <= 0:
+        raise ConfigError("f_nat must be positive")
     if fs < 50.0 * f_nat:
         raise ConfigError(f"fs={fs} too low for f_nat={f_nat} (need fs >= 50*f_nat)")
     w0 = 2.0 * math.pi * f_nat
-    c2 = 2.0 * zeta * w0 / fs
-    c1 = c2 * c2 / (4.0 * zeta * zeta)
+    c2 = 2.0 * ZETA * w0 / fs
+    c1 = c2 * c2 / (4.0 * ZETA * ZETA)
     return DpllParams(fs=int(fs), c1=c1, c2=c2)
 
 
@@ -248,10 +255,10 @@ def dpll_track(bb: IqBuffer, p: DpllParams) -> np.ndarray:
     once the phase is taken, so a baseband handed over inline is freed
     before the loop error.  v is built in the loop error, its integral a
     running ``cumsum`` carried from block to block of
-    ``sigcore.PARALLEL_BLOCK`` samples (a block that begins
-    ``block[0] += carry`` sums to the same bits).
+    ``sigcore.block_slices`` (a block that begins ``block[0] += carry``
+    sums to the same bits).
     """
-    n, fs, size = len(bb.samples), bb.fs, sigcore.PARALLEL_BLOCK
+    n, fs = len(bb.samples), bb.fs
     g, spectrum, nfft = _loop_kernel(p.c1, p.c2)
     phase = _angle(bb.samples, np.empty(n))
     del bb
@@ -276,14 +283,14 @@ def dpll_track(bb: IqBuffer, p: DpllParams) -> np.ndarray:
         err[k:stop] -= (TWO_PI * cycles) * g[:stop - k]
         pos = k + 1
     carry = 0.0           # sum(e[:lo])
-    for lo in range(0, n, size):
-        block = err[lo:lo + size]       # e, becomes v in place
+    for s in block_slices(n):
+        block = err[s]                  # e, becomes v in place
         integral = block.copy()
-        if lo:
+        if s.start:
             integral[0] += carry
         np.cumsum(integral, out=integral)
         block *= p.c2
-        if lo:
+        if s.start:
             block[0] += p.c1 * carry
         carry = float(integral[-1])
         integral *= p.c1
@@ -336,8 +343,8 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> np.ndarray:
     on every call.
 
     The phase runs block by block on ``run_blocks``.  The unwrap, a
-    running sum, runs as the heads of ``run_chain``, one
-    ``sigcore.PARALLEL_BLOCK``-sample block each, in order; each block's
+    running sum, runs as the heads of ``run_chain``, one block of
+    ``sigcore.block_slices`` each, in order; each block's
     tail fits the windows whose last sample lies in it, which the heads
     before it have unwrapped, beside the next block's unwrap.
     ``np.matvec`` releases the interpreter lock, so a fit overlaps an
@@ -346,14 +353,10 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> np.ndarray:
     depend on the run it is batched in, so the track does not depend on
     the split.  Beyond the output, the full-length array is the phase
     alone: ``bb`` is dropped once the phase is taken, so a baseband
-    handed over inline is freed before the track.
+    handed over inline is freed before the track.  ``p`` was checked
+    where it was built; ConfigError here means ``bb`` is shorter than a window.
     """
-    if p.degree < 2:
-        raise ConfigError("polynomial degree must be >= 2")
-    window = p.window_len
-    if window <= p.degree + 1:
-        raise ConfigError(f"window_len {window} must exceed degree+1")
-    total = len(bb.samples)
+    window, total = p.window_len, len(bb.samples)
     if total < window:
         raise ConfigError(f"signal ({total}) shorter than window ({window})")
     hop = window // 4   # >= 1: window > degree + 1 >= 3

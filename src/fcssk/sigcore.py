@@ -14,8 +14,8 @@ Conventions used throughout the package:
 ``run_parallel`` is the package's one thread helper: the trials of a sweep
 run through it, and so do the per-sample stages of one long burst, split
 by ``run_blocks`` into slices that each write their own part of a
-preallocated output.  ``run_blocks`` holds the one block rule, so a stage
-states the width of its rows and never a block size.  ``run_chain``
+preallocated output.  ``block_slices`` holds the one block rule, so a
+stage states the width of its rows and never a block size.  ``run_chain``
 runs a running sum over a long burst (the transmitter's phase sums, the
 unwrap) on the same slices, in order, as its heads, and each slice's
 elementwise rest as its tail, beside the later heads.  A pass is split
@@ -121,13 +121,18 @@ def run_parallel(fn, items) -> list:
     return results
 
 
-def run_blocks(fn, n: int, width: int = 1) -> list:
-    """``run_parallel(fn, ...)`` over consecutive slices of ``range(n)``,
-    rows of ``width`` samples (1 for a run of samples): each slice the
-    fewest whole rows that reach PARALLEL_BLOCK samples, the last one
-    shorter.  This is the one block rule; no caller counts rows."""
+def block_slices(n: int, width: int = 1) -> list[slice]:
+    """Consecutive slices of ``range(n)``, rows of ``width`` samples (1 for
+    a run of samples): each slice the fewest whole rows that reach
+    PARALLEL_BLOCK samples, the last one shorter.  This is the one block
+    rule; no caller counts rows or reads the block size."""
     rows = -(-PARALLEL_BLOCK // width)
-    return run_parallel(fn, [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)])
+    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+def run_blocks(fn, n: int, width: int = 1) -> list:
+    """``run_parallel(fn, block_slices(n, width))``."""
+    return run_parallel(fn, block_slices(n, width))
 
 
 def run_chain(head, tail, n: int, carry):
@@ -165,12 +170,6 @@ def run_chain(head, tail, n: int, carry):
             raise
     run_blocks(link, n)
     return state["carry"]
-
-
-def first_non_finite(x: np.ndarray) -> int | None:
-    """Index of the first NaN or infinity in the 1-D array ``x``, or None."""
-    finite = np.isfinite(x)
-    return None if finite.all() else int(np.argmin(finite))
 
 
 @dataclass(frozen=True)

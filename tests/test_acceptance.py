@@ -184,7 +184,7 @@ def test_criterion_08_dpll_loop_checks(chirp):
     closed-loop |H| at {f_nat/4, f_nat, 4 f_nat} within 10% of the
     z-domain expression."""
     fs, f_nat, zeta = chirp.fs, 128.0, 1.0 / math.sqrt(2.0)
-    p = make_dpll_params(fs, f_nat, zeta)
+    p = make_dpll_params(fs, f_nat)
     c2_ref = 2.0 * zeta * 2.0 * math.pi * f_nat / fs
     c1_ref = c2_ref * c2_ref / (4.0 * zeta * zeta)
     coeff_ok = (abs(p.c2 - c2_ref) <= 1e-9 * c2_ref

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -127,15 +128,19 @@ class TestCf32Files:
             read_cf32(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_sample_rejected(self, tmp_path, bad):
+    def test_non_finite_sample_rejected(self, tmp_path, capsys, bad):
         samples = np.ones(6, dtype=complex)
         samples[3] = complex(1.0, bad)  # Q of sample 3, bytes 28..31
-        path = tmp_path / "x.cf32"
+        path, out = tmp_path / "x.cf32", tmp_path / "out.txt"
         write_cf32(path, samples)
+        argv = ["demodulate", "--in", str(path), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: non-finite sample at byte offset 24\n"
+        args = build_parser().parse_args(argv)
         with pytest.raises(FileFormatError) as err:
-            read_cf32(path)
-        assert err.value.offset == 24
-        assert "offset 24" in str(err.value)
+            args.func(args)
+        assert err.value.offset == 24 and err.value.__cause__ is None
+        assert not out.exists()
 
 
 class TestModulateCommand:
@@ -310,12 +315,16 @@ class TestReceiveChain:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("use_sync", [True, False])
     def test_non_finite_sample_named(self, man128, bad, use_sync):
-        samples = np.ones(3 * man128.chirp.n, dtype=complex)
-        samples[100] = bad
-        with pytest.raises(NonFiniteSampleError, match=r"^sample 100 ") as info:
-            receive_chain(IqBuffer(samples, man128.chirp.fs), man128, "dpll", use_sync)
-        assert info.value.index == 100
-        assert "\n" not in str(info.value)
+        # each bad sample a new first, the later ones left in place, on both
+        # sides of a block boundary; the scan runs before any stage
+        b = sigcore.PARALLEL_BLOCK
+        samples = np.ones(2 * b + 3, dtype=complex)
+        for first in (2 * b + 2, b, b - 1, 100, 0):
+            samples[first] = bad
+            with pytest.raises(NonFiniteSampleError, match=rf"^sample {first} ") as info:
+                receive_chain(IqBuffer(samples, man128.chirp.fs), man128, "dpll", use_sync)
+            assert info.value.index == first
+            assert "\n" not in str(info.value)
 
     def test_unknown_estimator_refused_before_any_work(self, man128, monkeypatch):
         calls = []
@@ -327,6 +336,31 @@ class TestReceiveChain:
             chain.simulate(man128, "pll", [(0, 10.0)], 2004, 1)
         with pytest.raises(ConfigError, match="^unknown estimator 'pll', use dpll or lls$"):
             receive_chain(rx, man128, "pll", True)
+        assert calls == []
+
+    @pytest.mark.parametrize("b0,fs,bitrate,estimator,message", [
+        (20000.0, 65536, 8, "dpll", "lags the chirp slope by 198.94 rad"),
+        (1000.0, 8000, 2000, "dpll", "fs=8000 too low for f_nat=2000.0"),
+        (1000.0, 8000, 2000, "lls", "window_len 2 must exceed degree+1")],
+        ids=["dpll-lag", "dpll-rate", "lls-window"])
+    def test_estimator_parameters_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                          b0, fs, bitrate, estimator, message):
+        calls = []
+        for module, name in ((txmod, "modulate"), (sync, "estimate_timing"),
+                             (ifest, "downconvert")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        mp = txmod.make_mod_params(fcssk.derive_params(b0, 4.0, fs), "manchester", bitrate)
+        samples = np.ones(3 * mp.chirp.n, dtype=complex)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            chain.simulate(mp, estimator, [(0, 0.0)], 4008, 1)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            receive_chain(IqBuffer(samples, fs), mp, estimator, True)
+        samples[5] = np.nan     # the configuration is refused first
+        write_cf32(tmp_path / "x.cf32", samples)
+        assert run(["demodulate", "--in", tmp_path / "x.cf32", "--out", tmp_path / "out.txt",
+                    "--b0", b0, "--fs", fs, "--bitrate", bitrate, "--estimator", estimator]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert calls == []
 
 

@@ -28,11 +28,13 @@ def tone(freq_hz, n, fs, phase=0.0):
 class TestDpllParams:
     def test_coefficient_formulas(self):
         # direct evaluation of the closed-form gains
-        fs, f_nat, zeta = 65536, 128.0, 1.0 / math.sqrt(2.0)
-        p = make_dpll_params(fs, f_nat, zeta)
+        fs, f_nat, zeta = 65536, 128.0, 1.0 / math.sqrt(2.0)   # the fixed damping
+        p = make_dpll_params(fs, f_nat)
         c2 = 2.0 * zeta * (2.0 * math.pi * f_nat) / fs
         assert p.c2 == pytest.approx(c2, rel=1e-9)
         assert p.c1 == pytest.approx(c2 ** 2 / (4 * zeta ** 2), rel=1e-9)
+        # bit for bit: 4*zeta**2 is 1.9999999999999996, so c2*c2/2 would differ
+        assert (p.c1, p.c2) == (c2 * c2 / (4.0 * zeta * zeta), c2)
         assert p.c1 == pytest.approx(1.5059821e-4, rel=1e-6)
         assert p.c2 == pytest.approx(1.7355011e-2, rel=1e-6)
 
@@ -135,6 +137,11 @@ class TestLlsTrack:
         t2 = lls_track(buf, LlsParams(degree=2, window_len=256))
         t5 = lls_track(buf, LlsParams(degree=5, window_len=256))
         np.testing.assert_allclose(t2, t5, atol=1e-6)
+
+    @pytest.mark.parametrize("fit", [dict(degree=1, window_len=256), dict(window_len=6)])
+    def test_impossible_fit_refused_where_built(self, fit):
+        with pytest.raises(ConfigError, match="degree"):
+            LlsParams(**fit)
 
     def test_window_longer_than_signal(self, chirp):
         with pytest.raises(ConfigError):

@@ -14,7 +14,7 @@ from fcssk import AliasingError, ConfigError, IqBuffer, derive_params, reference
 from fcssk import sigcore
 from fcssk.codec import CodedFrame
 from fcssk.channel import apply_delay
-from fcssk.sigcore import (PARALLEL_BLOCK, conj_reference, first_non_finite, mix_reference,
+from fcssk.sigcore import (PARALLEL_BLOCK, conj_reference, mix_reference,
                            parallel_workers, periodic_reference, reference_tail, run_blocks,
                            run_chain, run_parallel, serially)
 from if_reference import (instantaneous_frequency, modulated_frequency, reference_frequency,
@@ -589,21 +589,3 @@ class TestRunChain:
         carry = object()
         assert run_chain(lambda s, c: ran.append(s), lambda s: ran.append(s), 0, carry) is carry
         assert ran == []
-
-
-class TestFirstNonFinite:
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_first_index_across_blocks(self, monkeypatch, cpus, bad):
-        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
-        x = np.ones(4 * PARALLEL_BLOCK + 3, dtype=np.float32)
-        assert first_non_finite(x) is None
-        for first in (4 * PARALLEL_BLOCK + 2, 2 * PARALLEL_BLOCK, PARALLEL_BLOCK - 1, 0):
-            x[first] = bad       # each a new first, later ones left in place
-            assert first_non_finite(x) == first
-
-    def test_complex_and_empty(self):
-        z = np.ones(10, dtype=complex)
-        z[7] = complex(0.0, np.nan)
-        assert first_non_finite(z) == 7
-        assert first_non_finite(np.zeros(0)) is None
