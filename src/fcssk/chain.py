@@ -16,29 +16,37 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import channel, codec, detect, ifest, sync, txmod
+from . import channel, codec, detect, ifest, sigcore, sync, txmod
 from .errors import ConfigError, NonFiniteSampleError, SyncError
 from .sigcore import IqBuffer, run_parallel
 
 TRIAL_BITS = 2004          # per-trial burst size; divisible by 6 for 6b8b
-ESTIMATORS = ("dpll", "lls")
+# estimator -> its parameters at ModParams, those of ifest.<estimator>_track
+ESTIMATORS = {"dpll": ifest.default_dpll,
+              "lls": lambda mp: ifest.LlsParams(window_len=mp.coded_bit_len)}
 
 
-def estimator_params(mp: txmod.ModParams, estimator: str) -> ifest.DpllParams | ifest.LlsParams:
-    """The parameters of ``ifest.<estimator>_track`` at ``mp``, or ConfigError."""
-    if estimator == "dpll":
-        return ifest.default_dpll(mp)
-    if estimator == "lls":
-        return ifest.LlsParams(window_len=mp.coded_bit_len)
-    raise ConfigError(f"unknown estimator {estimator!r}, use {' or '.join(ESTIMATORS)}")
+def resolve_receive(mp: txmod.ModParams, estimator: str) -> ifest.DpllParams | ifest.LlsParams:
+    """The parameters of ``ifest.<estimator>_track`` at ``mp``, all that
+    ``mp`` alone decides settled before any stage runs: ConfigError for an
+    estimator not in ESTIMATORS or parameters it refuses, the lowpass
+    ``downconvert`` would design, or a period no array can hold; then both
+    caches (reference period, detector ramps) are built, outside any trial."""
+    if estimator not in ESTIMATORS:
+        raise ConfigError(f"unknown estimator {estimator!r}, use {' or '.join(ESTIMATORS)}")
+    params = ESTIMATORS[estimator](mp)
+    ifest.design_lowpass(ifest.default_cutoff(mp), mp.chirp.fs)
+    sigcore.periodic_reference(mp.chirp)
+    detect._ramp_coefficients(mp)
+    return params
 
 
 def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
                   use_sync: bool) -> np.ndarray:
     """sync -> downconvert -> IF estimation -> detection: the int64 info bits
-    of the capture ``rx``.  Checked first, before any stage: ``estimator_params``,
+    of the capture ``rx``.  Checked first, before any stage: ``resolve_receive``,
     ``rx.fs == mp.chirp.fs``, then one scan for NaN and infinity in ``rx``."""
-    params = estimator_params(mp, estimator)
+    params = resolve_receive(mp, estimator)
     if rx.fs != mp.chirp.fs:
         raise ConfigError(f"capture is at {rx.fs} S/s, the chirp at {mp.chirp.fs} S/s")
     if not np.isfinite(rx.samples).all():
@@ -54,7 +62,7 @@ def receive_chain(rx: IqBuffer, mp: txmod.ModParams, estimator: str,
     # The baseband is handed on the same way, popped inline, so the
     # estimator frees it once it holds its phase.
     del rx
-    estimate = ifest.dpll_track if estimator == "dpll" else ifest.lls_track
+    estimate = getattr(ifest, f"{estimator}_track")   # the attribute a tracer wraps
     return detect.decide(estimate(baseband.pop(), params), mp)
 
 
@@ -115,11 +123,10 @@ def simulate(mp: txmod.ModParams, estimator: str, points: list[tuple[int, float]
     ``points``, selects the point's random streams.  The trials of all
     points run as one batch on ``run_parallel``; a remainder trial shorter
     than one chirp period joins the trial before it.  Before any trial
-    runs, raises ConfigError for an estimator not in ESTIMATORS or whose
-    parameters ``estimator_params`` refuses at ``mp``, a negative seed, or
-    ``bits`` that fill no trial or, with ``use_sync``, a trial shorter than
-    one period."""
-    estimator_params(mp, estimator)
+    runs, ``resolve_receive`` refuses the receive or builds its caches;
+    then ConfigError for a negative seed, or ``bits`` that fill no trial
+    or, with ``use_sync``, a trial shorter than one period."""
+    resolve_receive(mp, estimator)
     if bits < 1:
         raise ConfigError(f"--bits must be at least 1, got {bits}")
     if seed < 0:

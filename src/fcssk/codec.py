@@ -9,7 +9,7 @@ info bits through the codeword bank (``fcssk.detect``), not by decoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -33,14 +33,9 @@ class CodedFrame:
     coded_bit_len: int    # samples per coded bit; 0 when not yet bound to a rate
 
 
-def _boundary_run_sum(word: tuple[int, ...]) -> int:
-    lead = 1
-    while lead < len(word) and word[lead] == word[0]:
-        lead += 1
-    trail = 1
-    while trail < len(word) and word[-1 - trail] == word[-1]:
-        trail += 1
-    return lead + trail
+def run_lengths(word: tuple[int, ...]) -> list[int]:
+    """The lengths of the runs of equal bits in ``word``, in order."""
+    return [len(list(run)) for _, run in groupby(word)]
 
 
 def build_6b8b_codebook() -> CodeSpec:
@@ -52,15 +47,10 @@ def build_6b8b_codebook() -> CodeSpec:
     00011011 and 00100111 (sum 5).  The 64 survivors, sorted ascending,
     are assigned to values 0..63.  No octet contains a run longer than 4.
     """
-    octets = [w for w in combinations(range(8), 4)]
-    words = []
-    for ones in octets:
-        bits = tuple(1 if i in ones else 0 for i in range(8))
-        words.append(bits)
-    words.sort()
-    ranked = sorted(words, key=lambda w: (-_boundary_run_sum(w), w))
-    excluded = set(ranked[:6])
-    kept = tuple(w for w in words if w not in excluded)
+    words = [tuple(1 if i in ones else 0 for i in range(8)) for ones in combinations(range(8), 4)]
+    runs = {w: run_lengths(w) for w in words}
+    ranked = sorted(words, key=lambda w: (-(runs[w][0] + runs[w][-1]), w))
+    kept = tuple(sorted(ranked[6:]))
     assert len(kept) == 64
     return CodeSpec(p=6, q=8, codebook=kept)
 

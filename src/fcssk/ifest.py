@@ -133,9 +133,8 @@ def downconvert(rx: IqBuffer, mp: ModParams) -> IqBuffer:
     """
     x, ref = rx.samples, periodic_reference(mp.chirp)
     h = design_lowpass(default_cutoff(mp), rx.fs)
-    nfft = _fft_size(len(h))
     return IqBuffer(samples=_overlap_save(lambda a, b, out: mix_reference(x, ref, a, out), len(x),
-                                          h, np.fft.fft(h, nfft), nfft, lag=(len(h) - 1) // 2),
+                                          h, np.complex128, lag=(len(h) - 1) // 2),
                     fs=rx.fs)
 
 
@@ -161,9 +160,9 @@ def _phase_step_response(c1: float, c2: float, n: int) -> np.ndarray:
     return np.concatenate((q[:1], np.diff(q)))
 
 
-def _loop_kernel(c1: float, c2: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Step response g (truncated below SLIP_TAIL), its overlap-save
-    spectrum, and the FFT size, for the loop with gains (c1, c2)."""
+def _loop_kernel(c1: float, c2: float) -> np.ndarray:
+    """Step response g of the loop with gains (c1, c2), truncated where
+    it falls below SLIP_TAIL: the taps ``_overlap_save`` convolves."""
     radius = float(np.abs(np.roots([1.0, c2 - 2.0, 1.0 - c2 + c1])).max())
     if radius >= 1.0:
         raise ConfigError(f"DPLL gains c1={c1}, c2={c2} give an unstable loop "
@@ -172,9 +171,7 @@ def _loop_kernel(c1: float, c2: float) -> tuple[np.ndarray, np.ndarray, int]:
     # repeated pole
     span = 2 + math.ceil(math.log(SLIP_TAIL * 1e-4) / math.log(max(radius, 0.5)))
     g = _phase_step_response(c1, c2, span)
-    g = g[:int(np.flatnonzero(np.abs(g) > SLIP_TAIL)[-1]) + 1]
-    nfft = _fft_size(len(g))
-    return g, np.fft.rfft(g, nfft), nfft
+    return g[:int(np.flatnonzero(np.abs(g) > SLIP_TAIL)[-1]) + 1]
 
 
 def _fft_size(taps: int) -> int:
@@ -183,12 +180,11 @@ def _fft_size(taps: int) -> int:
     return 1 << (8 * taps - 1).bit_length()
 
 
-def _overlap_save(fill, n: int, h: np.ndarray, spectrum: np.ndarray, nfft: int,
-                  lag: int = 0) -> np.ndarray:
-    """Samples lag .. lag+n-1 of the linear convolution x * h, where
+def _overlap_save(fill, n: int, taps: np.ndarray, dtype, lag: int = 0) -> np.ndarray:
+    """Samples lag .. lag+n-1 of the linear convolution x * taps, where
     ``fill(a, b, out)`` writes samples a .. b-1 of the n-sample input x
-    into ``out``; ``spectrum`` is fft(h, nfft) for complex x and
-    rfft(h, nfft) for real x, so its length says which.
+    into ``out``; x and the taps go through ``fft`` if ``dtype`` is
+    complex128 and ``rfft`` if float64, in ``_fft_size(len(taps))`` points.
 
     The blocks go through batched FFTs, one block a row, in groups on
     ``run_blocks``: an FFT call of one row ran about a quarter slower
@@ -198,17 +194,17 @@ def _overlap_save(fill, n: int, h: np.ndarray, spectrum: np.ndarray, nfft: int,
     about one group per worker.  Each block is its own FFT, whatever its
     group, so the output does not depend on the split.
     """
-    taps = len(h)
-    keep = nfft - taps + 1
-    if len(spectrum) == nfft:
-        dtype, forward, inverse = np.complex128, np.fft.fft, np.fft.ifft
-    else:
-        dtype, forward, inverse = np.float64, np.fft.rfft, np.fft.irfft
+    count = len(taps)
+    nfft = _fft_size(count)
+    forward, inverse = ((np.fft.fft, np.fft.ifft) if np.dtype(dtype).kind == "c"
+                        else (np.fft.rfft, np.fft.irfft))
+    spectrum = forward(taps, nfft)
+    keep = nfft - count + 1
     total = -(-n // keep)
     out = np.empty((total, keep), dtype=dtype)
 
     def convolve(group: slice) -> None:
-        lo = group.start * keep + lag - (taps - 1)   # index in x of the group's first sample
+        lo = group.start * keep + lag - (count - 1)   # index in x of the group's first sample
         hi = group.stop * keep + lag
         a, b = max(lo, 0), min(hi, n)               # the part of the span inside x
         span = np.zeros(hi - lo, dtype=dtype)
@@ -216,7 +212,7 @@ def _overlap_save(fill, n: int, h: np.ndarray, spectrum: np.ndarray, nfft: int,
         segments = np.lib.stride_tricks.sliding_window_view(span, nfft)[::keep]
         product = forward(segments, axis=1)
         product *= spectrum
-        out[group] = inverse(product, nfft, axis=1)[:, taps - 1:]
+        out[group] = inverse(product, nfft, axis=1)[:, count - 1:]
     run_blocks(convolve, total, keep)
     return out.reshape(-1)[:n]
 
@@ -259,7 +255,7 @@ def dpll_track(bb: IqBuffer, p: DpllParams) -> np.ndarray:
     sums to the same bits).
     """
     n, fs = len(bb.samples), bb.fs
-    g, spectrum, nfft = _loop_kernel(p.c1, p.c2)
+    g = _loop_kernel(p.c1, p.c2)
     phase = _angle(bb.samples, np.empty(n))
     del bb
 
@@ -267,7 +263,7 @@ def dpll_track(bb: IqBuffer, p: DpllParams) -> np.ndarray:
         out[0] = phase[a] - (phase[a - 1] if a else 0.0)   # the phase before sample 0 is 0
         np.subtract(phase[a + 1:b], phase[a:b - 1], out=out[1:])
         out -= TWO_PI * np.round(out / TWO_PI)
-    err = _overlap_save(wrapped_steps, n, g, spectrum, nfft)
+    err = _overlap_save(wrapped_steps, n, g, np.float64)
     del phase
     pos = 0
     while pos < n:

@@ -274,13 +274,18 @@ def periodic_reference(params: ChirpParams) -> tuple[np.ndarray, float]:
     the phase stays within 1e-10 rad over hundreds of periods, where one
     running ``cumsum`` drifts further.  Callers that build period 0 at
     the same time build the same bits, and ``setdefault`` keeps one.
+    ConfigError names a period that numpy cannot build, such as one
+    beyond the address space, which numpy refuses before it touches a page.
     """
     cached = _PERIODS.get(params)
     if cached is None:
-        phase = np.arange(params.n, dtype=np.float64)
-        phase *= params.k0
-        np.cumsum(phase, out=phase)
-        period = np.conj(np.exp(1j * ((2.0 * np.pi / params.fs) * phase)))
+        try:
+            phase = np.arange(params.n, dtype=np.float64)
+            phase *= params.k0
+            np.cumsum(phase, out=phase)
+            period = np.conj(np.exp(1j * ((2.0 * np.pi / params.fs) * phase)))
+        except (ValueError, MemoryError):
+            raise ConfigError(f"a {params.n:g}-sample chirp period exceeds memory") from None
         period.flags.writeable = False    # shared by every caller
         cached = _PERIODS.setdefault(params, (period, math.fmod(phase[-1] / params.fs, 1.0)))
     return cached

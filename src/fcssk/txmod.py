@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
 from . import sigcore
-from .codec import CodedFrame, get_code_spec
+from .codec import CodedFrame, get_code_spec, run_lengths
 from .errors import ConfigError
 from .sigcore import ChirpParams, IqBuffer
 
@@ -125,6 +124,5 @@ def peak_deviation(mp: ModParams) -> float:
     Not reached for 6b8b: 4*L*k0 needs a leading run of four, and both
     such codewords (00001111, 11110000) are excluded, so 6b8b reaches 3*L*k0.
     """
-    runs = (len(list(run)) for word in get_code_spec(mp.code).codebook
-            for _, run in groupby(word))
-    return max(runs) * mp.coded_bit_len * mp.chirp.k0
+    longest = max(max(run_lengths(word)) for word in get_code_spec(mp.code).codebook)
+    return longest * mp.coded_bit_len * mp.chirp.k0

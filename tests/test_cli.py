@@ -14,7 +14,7 @@ import pytest
 
 import fcssk
 from fcssk import (ConfigError, FileFormatError, IqBuffer, NonFiniteSampleError, SyncError,
-                   chain, ifest, sigcore, sync, txmod)
+                   chain, detect, ifest, sigcore, sync, txmod)
 from fcssk.chain import receive_chain
 from fcssk.cli import (_bits_from_args, build_parser, main, parse_csv, read_bits,
                        read_cf32, rows_to_csv, write_bits, write_cf32)
@@ -341,8 +341,9 @@ class TestReceiveChain:
     @pytest.mark.parametrize("b0,fs,bitrate,estimator,message", [
         (20000.0, 65536, 8, "dpll", "lags the chirp slope by 198.94 rad"),
         (1000.0, 8000, 2000, "dpll", "fs=8000 too low for f_nat=2000.0"),
-        (1000.0, 8000, 2000, "lls", "window_len 2 must exceed degree+1")],
-        ids=["dpll-lag", "dpll-rate", "lls-window"])
+        (1000.0, 8000, 2000, "lls", "window_len 2 must exceed degree+1"),
+        (40.0, 100, 1, "lls", "cutoff 320.0 Hz outside (0, fs/2)")],
+        ids=["dpll-lag", "dpll-rate", "lls-window", "lowpass"])
     def test_estimator_parameters_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                           b0, fs, bitrate, estimator, message):
         calls = []
@@ -363,6 +364,57 @@ class TestReceiveChain:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert calls == []
 
+    @pytest.mark.parametrize("rep_rate", [1e-300, 1e-10])
+    def test_period_no_array_can_hold_refused_before_any_work(self, tmp_path, capsys,
+                                                              monkeypatch, rep_rate):
+        # only periods of 2**47 bytes and more, beyond the address space, so
+        # their allocation fails before a page is touched
+        mp = txmod.make_mod_params(fcssk.derive_params(1024.0, rep_rate, 65536),
+                                   "manchester", 128)
+        assert 8 * mp.chirp.n >= 2 ** 47
+        calls = []
+        for module, name in ((txmod, "modulate"), (sync, "estimate_timing"),
+                             (ifest, "downconvert")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        message = f"a {mp.chirp.n:g}-sample chirp period exceeds memory"
+        samples = np.ones(4096, dtype=complex)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            receive_chain(IqBuffer(samples, mp.chirp.fs), mp, "dpll", False)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            chain.simulate(mp, "dpll", [(0, 10.0)], 2004, 1, use_sync=False)
+        write_cf32(tmp_path / "x.cf32", samples)
+        out = tmp_path / "out.bits"
+        assert run(["demodulate", "--in", tmp_path / "x.cf32", "--out", out,
+                    "--no-sync", "--rep-rate", rep_rate]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert calls == []
+
+    def test_caches_built_before_the_first_stage(self, man128, monkeypatch):
+        """``simulate`` builds the reference period and the detector's
+        ramps before its first ``modulate``, and ``receive_chain`` before
+        sync, so no trial builds a cache beside its full-length arrays."""
+        bits = np.random.default_rng(2).integers(0, 2, 600)
+        rx = fcssk.apply_delay(fcssk.modulate(fcssk.encode(bits, "manchester",
+                                                           man128.coded_bit_len), man128),
+                               700, man128.chirp)
+        entered = []
+        for module, name in ((txmod, "modulate"), (sync, "estimate_timing")):
+            def spy(*args, name=name, stage=getattr(module, name)):
+                ramps = detect._ramp_coefficients.cache_info().misses
+                detect._ramp_coefficients(man128)
+                entered.append((name, man128.chirp in sigcore._PERIODS,
+                                detect._ramp_coefficients.cache_info().misses == ramps))
+                return stage(*args)
+            monkeypatch.setattr(module, name, spy)
+        for run_once in (lambda: chain.simulate(man128, "lls", [(0, 20.0)], 600, 1),
+                         lambda: receive_chain(rx, man128, "lls", True)):
+            monkeypatch.setattr(sigcore, "_PERIODS", {})
+            detect._ramp_coefficients.cache_clear()
+            run_once()
+        # the simulate's trial, then the receive_chain
+        assert entered == [("modulate", True, True), ("estimate_timing", True, True),
+                           ("estimate_timing", True, True)]
 
     @pytest.mark.parametrize("fs", [32768, 48000])
     @pytest.mark.parametrize("estimator", ["dpll", "lls"])

@@ -330,11 +330,10 @@ class TestDownconvert:
         bb = np.conj(reference_of(rx, mp))
         np.multiply(rx.samples.astype(np.complex128), bb, out=bb)
         h = design_lowpass(default_cutoff(mp), rx.fs)
-        nfft = _fft_size(len(h))
 
         def copy(a, b, out):
             out[:] = bb[a:b]
-        return _overlap_save(copy, len(bb), h, np.fft.fft(h, nfft), nfft, lag=(len(h) - 1) // 2)
+        return _overlap_save(copy, len(bb), h, np.complex128, lag=(len(h) - 1) // 2)
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     def test_group_mix_is_the_full_product(self, man128, dtype):
