@@ -12,9 +12,9 @@ from .codec import (B6B8, CODE_NAMES, MANCHESTER, CodedFrame, CodeSpec,
 from .detect import decide, template_bank
 from .errors import (AliasingError, ConfigError, FcsskError, FileFormatError,
                      FramingError, NonFiniteSampleError, SyncError)
-from .ifest import (DpllParams, LlsParams, default_cutoff, default_dpll, default_f_nat,
-                    design_lowpass, downconvert, dpll_response, dpll_track,
-                    lls_track, make_dpll_params)
+from .ifest import (DpllParams, LlsParams, default_dpll, default_f_nat, design_lowpass,
+                    downconvert, dpll_response, dpll_track, lls_track, lowpass,
+                    make_dpll_params)
 from .sigcore import ChirpParams, IqBuffer, derive_params, reference_chirp
 from .sync import SyncEstimate, align, estimate_timing
 from .theory import (bit_energy, crb_variance, pe_crb, q_function, snr_at_pe,

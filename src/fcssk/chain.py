@@ -29,13 +29,13 @@ ESTIMATORS = {"dpll": ifest.default_dpll,
 def resolve_receive(mp: txmod.ModParams, estimator: str) -> ifest.DpllParams | ifest.LlsParams:
     """The parameters of ``ifest.<estimator>_track`` at ``mp``, all that
     ``mp`` alone decides settled before any stage runs: ConfigError for an
-    estimator not in ESTIMATORS or parameters it refuses, the lowpass
-    ``downconvert`` would design, or a period no array can hold; then both
+    estimator not in ESTIMATORS or parameters it refuses, a lowpass that
+    ``ifest.lowpass`` refuses, or a period no array can hold; then both
     caches (reference period, detector ramps) are built, outside any trial."""
     if estimator not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {estimator!r}, use {' or '.join(ESTIMATORS)}")
     params = ESTIMATORS[estimator](mp)
-    ifest.design_lowpass(ifest.default_cutoff(mp), mp.chirp.fs)
+    ifest.lowpass(mp)
     sigcore.periodic_reference(mp.chirp)
     detect._ramp_coefficients(mp)
     return params

@@ -101,14 +101,17 @@ def snr_grid(args) -> list[float]:
     if args.snr_stop < args.snr_start:
         raise FcsskError("snr stop must be >= start")
     # the epsilon keeps a stop that the steps reach exactly (up to rounding)
-    count = math.floor((args.snr_stop - args.snr_start) / args.snr_step + 1e-9) + 1
+    steps = (args.snr_stop - args.snr_start) / args.snr_step + 1e-9
     # at the end of largest |SNR|, a finer step than the CSV prints repeats rows
     end, neighbour = max((args.snr_start, args.snr_start + args.snr_step),
                          (args.snr_stop, args.snr_stop - args.snr_step), key=lambda e: abs(e[0]))
-    if count > 1 and _num(end) == _num(neighbour):
+    if steps >= 1 and _num(end) == _num(neighbour):
         raise FcsskError(f"--snr-step {args.snr_step:g} is below the CSV's 6-digit resolution "
                          f"at {_num(end)} dB, where two grid points would print the same")
-    return [args.snr_start + i * args.snr_step for i in range(count)]
+    if not math.isfinite(steps):    # the span, or its count of steps, is beyond a float
+        raise FcsskError(f"--snr-start {_num(args.snr_start)} to --snr-stop "
+                         f"{_num(args.snr_stop)} spans more steps than a float counts")
+    return [args.snr_start + i * args.snr_step for i in range(math.floor(steps) + 1)]
 
 
 def theory_rows(mp: txmod.ModParams, grid: list[float]) -> list[tuple]:
@@ -151,6 +154,9 @@ def parse_csv(text: str, path: str = "<csv>") -> list[dict]:
                          "bitrate": int(fields["bitrate"]), "estimator": fields["estimator"],
                          "bits": int(fields["bits"]), "errors": int(fields["errors"]),
                          "ber": float(fields["ber"])})
+            for column in ("snr_db", "ber"):
+                if not math.isfinite(rows[-1][column]):
+                    raise ValueError(f"{column} {fields[column]!r} is not a finite number")
         except ValueError as exc:
             raise FileFormatError(f"{path}: line {number}: {exc}") from None
     if not rows:
@@ -222,8 +228,11 @@ def cmd_plot(args) -> int:
     from .plot import render_plot_svg
     rows = []
     for path in args.csvs:
-        with open(path, "r") as fh:
-            rows.extend(parse_csv(fh.read(), path))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                rows.extend(parse_csv(fh.read(), path))
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
     _write_text(args.outfile, render_plot_svg(rows))
     return 0
 
@@ -296,7 +305,7 @@ def main(argv=None) -> int:
         args.command_parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
-    except (FcsskError, OSError) as exc:
+    except (FcsskError, OSError, MemoryError) as exc:   # numpy names the size it could not hold
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .sigcore import (IqBuffer, block_slices, mix_reference, periodic_reference, run_blocks,
-                      run_chain, unwrap_step)
+from .sigcore import (IqBuffer, block_slices, mix_reference, periodic_reference, run_chain,
+                      run_parallel, unwrap_step)
 from .txmod import ModParams, peak_deviation
 
 LOWPASS_SPAN_S = 128 / 65536  # lowpass length, s: 128 sample intervals at 65536 S/s
@@ -99,9 +99,9 @@ def default_dpll(mp: ModParams) -> DpllParams:
     return p
 
 
-def default_cutoff(mp: ModParams) -> float:
-    """Lowpass cutoff: 4x the peak ideal deviation, floored at 64 Hz."""
-    return max(4.0 * peak_deviation(mp), MIN_CUTOFF_HZ)
+def lowpass(mp: ModParams) -> np.ndarray:
+    """The receive lowpass: cutoff 4x the peak ideal deviation, at least MIN_CUTOFF_HZ."""
+    return design_lowpass(max(4.0 * peak_deviation(mp), MIN_CUTOFF_HZ), mp.chirp.fs)
 
 
 def design_lowpass(cutoff: float, fs: int) -> np.ndarray:
@@ -121,21 +121,20 @@ def design_lowpass(cutoff: float, fs: int) -> np.ndarray:
 
 
 def downconvert(rx: IqBuffer, mp: ModParams) -> IqBuffer:
-    """Mix against the local reference and lowpass the product at
-    ``default_cutoff(mp)``, by overlap-save FFT convolution.
+    """Mix against the local reference and lowpass the product with
+    ``lowpass(mp)``, by overlap-save FFT convolution.
 
     Each overlap-save group's span is mixed by ``sigcore.mix_reference``
     straight into the group's buffer, so the full-length arrays are the
-    input and the output alone.  ``rx`` may be complex64: widening to
-    complex128 is exact.  The FIR group delay of (taps-1)/2 samples is
-    compensated by shifting the output, so the baseband stays
-    sample-aligned with the input.
+    input and the output alone.  ``rx``, at ``mp.chirp.fs`` as
+    ``receive_chain`` checks, may be complex64: widening to complex128 is
+    exact.  The FIR group delay of (taps-1)/2 samples is compensated by
+    shifting the output, so the baseband stays sample-aligned with it.
     """
-    x, ref = rx.samples, periodic_reference(mp.chirp)
-    h = design_lowpass(default_cutoff(mp), rx.fs)
+    x, ref, h = rx.samples, periodic_reference(mp.chirp), lowpass(mp)
     return IqBuffer(samples=_overlap_save(lambda a, b, out: mix_reference(x, ref, a, out), len(x),
                                           h, np.complex128, lag=(len(h) - 1) // 2),
-                    fs=rx.fs)
+                    fs=mp.chirp.fs)
 
 
 def _phase_step_response(c1: float, c2: float, n: int) -> np.ndarray:
@@ -186,8 +185,8 @@ def _overlap_save(fill, n: int, taps: np.ndarray, dtype, lag: int = 0) -> np.nda
     into ``out``; x and the taps go through ``fft`` if ``dtype`` is
     complex128 and ``rfft`` if float64, in ``_fft_size(len(taps))`` points.
 
-    The blocks go through batched FFTs, one block a row, in groups on
-    ``run_blocks``: an FFT call of one row ran about a quarter slower
+    The blocks go through batched FFTs, one block a row, in groups of
+    ``block_slices``: an FFT call of one row ran about a quarter slower
     per row than one of two, and the DPLL's blocks are nearly that long.
     Each group's span is zeroed, filled where it lies inside x, and
     lands in one preallocated output, so the temporaries in flight stay
@@ -213,17 +212,16 @@ def _overlap_save(fill, n: int, taps: np.ndarray, dtype, lag: int = 0) -> np.nda
         product = forward(segments, axis=1)
         product *= spectrum
         out[group] = inverse(product, nfft, axis=1)[:, count - 1:]
-    run_blocks(convolve, total, keep)
+    run_parallel(convolve, block_slices(total, keep))
     return out.reshape(-1)[:n]
 
 
 def _angle(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.angle(x)`` written into ``out``, block by block on
-    ``run_blocks``, by np.angle's own formula ``arctan2(imag, real)``."""
+    """``np.angle(x)`` written into ``out``, block by block of
+    ``block_slices``, by np.angle's own formula ``arctan2(imag, real)``."""
     def angle(s: slice) -> None:
-        block = x[s]
-        np.arctan2(block.imag, block.real, out=out[s])
-    run_blocks(angle, len(x))
+        np.arctan2(x[s].imag, x[s].real, out=out[s])
+    run_parallel(angle, block_slices(len(x)))
     return out
 
 
@@ -338,7 +336,7 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> np.ndarray:
     BLAS-3 product, which would wake (and leave spinning) a threaded BLAS
     on every call.
 
-    The phase runs block by block on ``run_blocks``.  The unwrap, a
+    The phase runs block by block on ``run_parallel``.  The unwrap, a
     running sum, runs as the heads of ``run_chain``, one block of
     ``sigcore.block_slices`` each, in order; each block's
     tail fits the windows whose last sample lies in it, which the heads
@@ -381,10 +379,7 @@ def lls_track(bb: IqBuffer, p: LlsParams) -> np.ndarray:
         np.matvec(deriv[lead:lead + hop], np.matvec(proj, windows[mine]), out=rows[mine])
         rows[mine] *= gain
     run_chain(unwrap, fit, total - 1, (0.0, float(phi[0])))
-    out[:lead] = np.matvec(deriv[:lead], np.matvec(proj, phi[:window]))
-    out[:lead] *= gain
-    if stop < total:
-        start_f = total - window
-        out[stop:] = np.matvec(deriv[stop - start_f:], np.matvec(proj, phi[start_f:]))
-        out[stop:] *= gain
+    out[:lead] = np.matvec(deriv[:lead], np.matvec(proj, phi[:window])) * gain
+    start_f = total - window    # the last window: its fit covers the track past stop
+    out[stop:] = np.matvec(deriv[stop - start_f:], np.matvec(proj, phi[start_f:])) * gain
     return out

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 
 ``run_parallel`` is the package's one thread helper: the trials of a sweep
 run through it, and so do the per-sample stages of one long burst, split
-by ``run_blocks`` into slices that each write their own part of a
+by ``block_slices`` into slices that each write their own part of a
 preallocated output.  ``block_slices`` holds the one block rule, so a
 stage states the width of its rows and never a block size.  ``run_chain``
 runs a running sum over a long burst (the transmitter's phase sums, the
@@ -130,21 +130,16 @@ def block_slices(n: int, width: int = 1) -> list[slice]:
     return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
-def run_blocks(fn, n: int, width: int = 1) -> list:
-    """``run_parallel(fn, block_slices(n, width))``."""
-    return run_parallel(fn, block_slices(n, width))
-
-
 def run_chain(head, tail, n: int, carry):
-    """Run ``carry = head(s, carry)`` over the consecutive slices ``s``
-    of ``range(n)`` that ``run_blocks`` takes, in slice order, and
-    ``tail(s)`` after each slice's own head; return the last carry.
+    """Run ``carry = head(s, carry)`` over the slices ``s`` of
+    ``block_slices(n)``, in slice order, and ``tail(s)`` after each
+    slice's own head; return the last carry.
 
     Each head starts after the one before it has returned, on whichever
     worker took its slice, and that worker runs the slice's tail right
     after it, so the heads form one running sum (a phase sum, an unwrap)
     while the tails of earlier slices run on the other workers.  The
-    items run on ``run_blocks``: with one worker (and so inside
+    items run on ``run_parallel``: with one worker (and so inside
     ``serially``) they run inline as head 0, tail 0, head 1, ...
     and no thread starts.  A head or tail that raises wakes every worker
     waiting for its turn, no later head runs, and the failure is raised.
@@ -168,7 +163,7 @@ def run_chain(head, tail, n: int, carry):
                 state["failed"] = True
                 turn.notify_all()
             raise
-    run_blocks(link, n)
+    run_parallel(link, block_slices(n))
     return state["carry"]
 
 
@@ -245,12 +240,12 @@ def reference_tail(params: ChirpParams, n_samples: int) -> np.ndarray:
     Used to model a receiver that starts listening mid-stream: appending a
     buffer whose first sample is 1+0j after this tail yields a
     phase-continuous periodic chirp stream.  The period is the conjugate
-    of ``periodic_reference``'s cached one.
+    of ``periodic_reference``'s cached one.  Its two temporaries stay: an
+    ``apply_delay`` that wrote the tail straight into its output made the
+    curve bench's probes peak 8 MB higher (README, Memory).
     """
     if not 0 <= n_samples <= params.n:
         raise ConfigError(f"tail length must be in [0, {params.n}], got {n_samples}")
-    if n_samples == 0:
-        return np.zeros(0, dtype=np.complex128)
     conj_period = periodic_reference(params)[0]
     # phase at the (virtual) next sample equals phase of the last one because
     # the post-wrap IF is exactly 0, so rotating by conj(last) lands at 0.
@@ -321,16 +316,16 @@ def mix_reference(rx: np.ndarray, ref: tuple[np.ndarray, float], lo: int,
     """Write ``rx * conj(reference)`` of samples ``lo .. lo+w-1`` into
     the complex128 ``out`` of length w, rx[0] meeting reference sample 0,
     and return it.  A 2-D ``out`` takes rows one period apart, of both
-    operands.  rx goes first, in every mix of the package: the complex
-    multiply is not commutative bit for bit, and in this order a span
-    equals the same span of one full-array product (numpy multiplies a
-    lone element in place on another path, so a one-sample span may not)."""
-    conj_reference(ref, lo, out)
-    if out.ndim == 1:
-        return np.multiply(rx[lo:lo + len(out)], out, out=out)
-    n, (rows, width) = len(ref[0]), out.shape
-    span = np.lib.stride_tricks.sliding_window_view(rx[lo:lo + (rows - 1) * n + width], width)
-    return np.multiply(span[::n], out, out=out)
+    operands; a 1-D one is one row.  rx goes first, in every mix of the
+    package: the complex multiply is not commutative bit for bit, and in
+    this order a span equals the same span of one full-array product (numpy
+    multiplies a lone element in place on another path, so a one-sample
+    span may not)."""
+    rows = conj_reference(ref, lo, out if out.ndim == 2 else out[None])
+    n, (count, width) = len(ref[0]), rows.shape
+    span = np.lib.stride_tricks.sliding_window_view(rx[lo:lo + (count - 1) * n + width], width)
+    np.multiply(span[::n], rows, out=rows)
+    return out
 
 
 def unwrap_correction(step: np.ndarray) -> np.ndarray:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SyncError
-from .sigcore import (ChirpParams, IqBuffer, mix_reference, periodic_reference, run_blocks,
-                      unwrap_correction)
+from .sigcore import (ChirpParams, IqBuffer, block_slices, mix_reference, periodic_reference,
+                      run_parallel, unwrap_correction)
 
 # periods of the incoming stream used for spectra / boundary slips
 MAX_COARSE_PERIODS = 64
@@ -61,12 +61,12 @@ def _mixed_periodogram(rx: np.ndarray, params: ChirpParams, start: int,
     """One-period periodogram of rx[start:] * conj(reference), averaged
     over ``periods`` chirp periods.
 
-    Each period's mix and FFT run in place, a few rows at a time on
-    ``run_blocks``; the power and its mean are taken over all rows at
-    once, after them, in the order the whole-array version allocated
-    them: with the power taken inside the blocks, into an array allocated
-    first, repeated Manchester 128 b/s trials peaked at 118 or 126 MB
-    depending on where the allocator placed the arrays.
+    Each period's mix and FFT run in place, one slice of
+    ``block_slices`` at a time; the power and its mean are taken over all
+    rows at once, after them, in the order the whole-array version
+    allocated them: with the power taken inside the blocks, into an array
+    allocated first, repeated Manchester 128 b/s trials peaked at 118 or
+    126 MB depending on where the allocator placed the arrays.
     """
     n, ref = params.n, periodic_reference(params)
     spectra = np.empty((periods, n), dtype=np.complex128)
@@ -74,7 +74,7 @@ def _mixed_periodogram(rx: np.ndarray, params: ChirpParams, start: int,
     def rows(r: slice) -> None:
         z = mix_reference(rx[start:], ref, r.start * n, spectra[r])
         np.fft.fft(z, axis=1, out=z)
-    run_blocks(rows, periods, n)
+    run_parallel(rows, block_slices(periods, n))
     power = np.abs(spectra)
     power **= 2
     return power.mean(axis=0)
@@ -107,13 +107,13 @@ def _measure_slips(rx: np.ndarray, params: ChirpParams, t0: int, guard: int) -> 
     phase probe being a short local average.  Valid while |d| < G.
 
     Each boundary window is one row that ``mix_reference`` mixes, and
-    the rows run a few at a time on ``run_blocks``; a row's slip depends
-    on that row alone, and the mean is taken over all rows at once,
-    after them, so the result does not depend on the split.  Each window's phase is
-    unwrapped only where it is read: ``np.unwrap``'s correction runs at
-    the wrap steps, its running sum per row is looked up at the four
-    probe spans, and the result equals unwrapping every window in full,
-    bit for bit.
+    the rows run one slice of ``block_slices`` at a time; a row's slip
+    depends on that row alone, and the mean is taken over all rows at
+    once, after them, so the result does not depend on the split.  Each
+    window's phase is unwrapped only where it is read: ``np.unwrap``'s
+    correction runs at the wrap steps, its running sum per row is looked
+    up at the four probe spans, and the result equals unwrapping every
+    window in full, bit for bit.
     """
     n, fs, b0 = params.n, params.fs, params.b0
     total = len(rx) - t0
@@ -147,7 +147,7 @@ def _measure_slips(rx: np.ndarray, params: ChirpParams, t0: int, guard: int) -> 
         probes = phase[:, cols] + offsets[row, before]
         far_pre, near_pre, near_post, far_post = probes.mean(axis=-1).T
         return (near_post - near_pre) - 0.5 * ((near_pre - far_pre) + (far_post - near_post))
-    slip = np.concatenate(run_blocks(slips, count, width))
+    slip = np.concatenate(run_parallel(slips, block_slices(count, width)))
     d = float(np.mean(slip * fs / (2.0 * np.pi * b0)))
     # a pass is only valid for |d| < guard; clamp runaway noise estimates
     return float(np.clip(d, -guard, guard))

@@ -862,6 +862,43 @@ def test_snr_step_below_csv_resolution_refused(tmp_path, capsys, command):
     assert not out.exists()
 
 
+NOT_FINITE_CSV = "snr_db,code,bitrate,estimator,bits,errors,ber\n{},manchester,128,dpll,1,0,{}\n"
+
+
+@pytest.mark.parametrize("args,files,message", [
+    (["theory", "--snr-step", 1e-320], {}, "is below the CSV's 6-digit resolution at -30 dB"),
+    (["simulate", "--snr-step", 1e-320], {}, "is below the CSV's 6-digit resolution at -30 dB"),
+    (["theory", "--snr-start=-1e308", "--snr-stop=1e308"], {}, "resolution at -1e+308 dB"),
+    (["simulate", "--snr-start=-1e308", "--snr-stop=1e308"], {}, "resolution at -1e+308 dB"),
+    (["theory", "--snr-start=-1e308", "--snr-stop=1e308", "--snr-step=1e308"], {},
+     "--snr-start -1e+308 to --snr-stop 1e+308 spans more steps than a float counts"),
+    (["plot", "a.csv"], {"a.csv": NOT_FINITE_CSV.format("nan", 0.5)},
+     "a.csv: line 2: snr_db 'nan' is not a finite number"),
+    (["plot", "a.csv"], {"a.csv": NOT_FINITE_CSV.format("inf", 0.5)},
+     "a.csv: line 2: snr_db 'inf' is not a finite number"),
+    (["plot", "a.csv"], {"a.csv": NOT_FINITE_CSV.format(0, "nan")},
+     "a.csv: line 2: ber 'nan' is not a finite number"),
+    (["plot", "a.csv"], {"a.csv": NOT_FINITE_CSV.format(0, "-inf")},
+     "a.csv: line 2: ber '-inf' is not a finite number"),
+    (["plot", "a.csv"], {"a.csv": NOT_FINITE_CSV.format(0, 0.5).encode() + b"\xff\n"},
+     "a.csv: byte 76 is not UTF-8 text"),
+    # 2**45 samples of complex128 (2**49 bytes): beyond the address space, so
+    # numpy refuses the output before it touches a page
+    (["modulate", "--in", "one.bits", "--fs", 2 ** 45, "--bitrate", 1], {"one.bits": "1"},
+     "Unable to allocate 512. TiB")],
+    ids=["theory-step", "simulate-step", "theory-span", "simulate-span", "theory-count",
+         "plot-nan-snr", "plot-inf-snr", "plot-nan-ber", "plot-inf-ber", "plot-not-utf8",
+         "modulate-memory"])
+def test_refused_in_one_line(tmp_path, capsys, monkeypatch, args, files, message):
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (Path(name).write_bytes if isinstance(data, bytes) else Path(name).write_text)(data)
+    assert run([*args, "--out", "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not Path("out").exists()
+
+
 def test_one_point_grid_has_no_step_resolution(tmp_path, capsys):
     # one point prints one row whatever the step; two points a step apart
     # that print the same are still refused

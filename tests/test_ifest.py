@@ -6,9 +6,9 @@ import pytest
 from fcssk import (ConfigError, IqBuffer, LlsParams, apply_awgn, decide,
                    derive_params, downconvert, dpll_response, dpll_track, encode,
                    lls_track, make_dpll_params, modulate, reference_chirp)
-from fcssk import ifest, sigcore
-from fcssk.ifest import (_fft_size, _lls_design, _overlap_save, default_cutoff, default_dpll,
-                         default_f_nat, design_lowpass)
+from fcssk import chain, ifest, sigcore
+from fcssk.ifest import (_fft_size, _lls_design, _overlap_save, default_dpll, default_f_nat,
+                         design_lowpass, lowpass)
 from fcssk.sigcore import PARALLEL_BLOCK, periodic_reference
 from fcssk.txmod import make_mod_params
 from if_reference import unwrap_phase
@@ -275,7 +275,19 @@ class TestLowpass:
         assert gain(16384) == pytest.approx(gain(65536), abs=0.02)
 
     def test_default_cutoff_floor(self, chirp, man128):
-        assert default_cutoff(man128) == pytest.approx(64.0)
+        # Manchester 128 b/s peaks at 16 Hz of deviation: 4x that is the 64 Hz floor
+        assert np.array_equal(lowpass(man128), design_lowpass(64.0, chirp.fs))
+
+    def test_one_lowpass_rule(self, man128, monkeypatch):
+        # resolve_receive refuses, and downconvert filters with, ifest.lowpass alone
+        def refuse(mp):
+            raise ConfigError("sentinel lowpass")
+        monkeypatch.setattr(ifest, "lowpass", refuse)
+        rx = reference_chirp(man128.chirp, 1)
+        with pytest.raises(ConfigError, match="^sentinel lowpass$"):
+            chain.resolve_receive(man128, "lls")
+        with pytest.raises(ConfigError, match="^sentinel lowpass$"):
+            downconvert(rx, man128)
 
 
 class TestDownconvert:
@@ -299,7 +311,7 @@ class TestDownconvert:
     def direct(rx, mp):
         """The lowpass as a direct convolution, group delay cut off."""
         bb = rx.samples * np.conj(reference_of(rx, mp))
-        h = design_lowpass(default_cutoff(mp), rx.fs)
+        h = lowpass(mp)
         delay = (len(h) - 1) // 2
         return np.convolve(bb, h)[delay:delay + len(bb)]
 
@@ -310,7 +322,7 @@ class TestDownconvert:
         bits = np.random.default_rng(fs).integers(0, 2, n_bits)
         clean = modulate(encode(bits, "manchester", mp.coded_bit_len), mp)
         rx = apply_awgn(clean, 0.0, np.random.default_rng(7))
-        taps = len(design_lowpass(default_cutoff(mp), fs))
+        taps = len(lowpass(mp))
         assert len(rx) > 4 * PARALLEL_BLOCK
         got, want = downconvert(rx, mp).samples, self.direct(rx, mp)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -329,7 +341,7 @@ class TestDownconvert:
         """The mix as one full-length product, then the same overlap-save."""
         bb = np.conj(reference_of(rx, mp))
         np.multiply(rx.samples.astype(np.complex128), bb, out=bb)
-        h = design_lowpass(default_cutoff(mp), rx.fs)
+        h = lowpass(mp)
 
         def copy(a, b, out):
             out[:] = bb[a:b]
@@ -341,7 +353,7 @@ class TestDownconvert:
         bits = np.random.default_rng(3).integers(0, 2, n_bits)
         clean = modulate(encode(bits, "manchester", man128.coded_bit_len), man128)
         noisy = apply_awgn(clean, 2.0, np.random.default_rng(4)).samples.astype(dtype)
-        taps = len(design_lowpass(default_cutoff(man128), man128.chirp.fs))
+        taps = len(lowpass(man128))
         for n in (len(noisy), 2 * PARALLEL_BLOCK, _fft_size(taps) // 2, taps // 2, 1):
             rx = IqBuffer(noisy[:n], man128.chirp.fs)
             got, want = downconvert(rx, man128).samples, self.full_product(rx, man128)

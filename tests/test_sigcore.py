@@ -14,9 +14,9 @@ from fcssk import AliasingError, ConfigError, IqBuffer, derive_params, reference
 from fcssk import sigcore
 from fcssk.codec import CodedFrame
 from fcssk.channel import apply_delay
-from fcssk.sigcore import (PARALLEL_BLOCK, conj_reference, mix_reference,
-                           parallel_workers, periodic_reference, reference_tail, run_blocks,
-                           run_chain, run_parallel, serially)
+from fcssk.sigcore import (PARALLEL_BLOCK, block_slices, conj_reference, mix_reference,
+                           parallel_workers, periodic_reference, reference_tail, run_chain,
+                           run_parallel, serially)
 from if_reference import (instantaneous_frequency, modulated_frequency, reference_frequency,
                           synthesize, unwrap_in_place, unwrap_phase)
 
@@ -425,10 +425,10 @@ class TestRunParallel:
     def test_run_blocks_covers_the_range(self, monkeypatch, cpus):
         monkeypatch.setattr(sigcore, "_usable_cpus", lambda: cpus)
         n = 5 * PARALLEL_BLOCK + 17
-        spans = run_blocks(lambda s: (s.start, s.stop), n)
+        spans = run_parallel(lambda s: (s.start, s.stop), block_slices(n))
         assert spans[0][0] == 0 and spans[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-        assert len(spans) == 6 and run_blocks(lambda s: s, 0) == []
+        assert len(spans) == 6 and block_slices(0) == []
 
     @pytest.mark.parametrize("block", [97, 65536])
     @pytest.mark.parametrize("width", [1, 7, 12321, 16384])
@@ -436,11 +436,10 @@ class TestRunParallel:
                                                                  width):
         # the one block rule: rows of ``width`` samples, each slice but the
         # last the fewest whole rows that reach PARALLEL_BLOCK samples
-        monkeypatch.setattr(sigcore, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(sigcore, "PARALLEL_BLOCK", block)
         rows = -(-block // width)
         for n in (0, 1, rows - 1, rows, rows + 1, 5 * rows + 3):
-            spans = run_blocks(lambda s: s, n, width)
+            spans = block_slices(n, width)
             assert [i for s in spans for i in range(s.start, s.stop)] == list(range(n))
             assert all(s.stop - s.start == rows for s in spans[:-1])
             assert all(0 < s.stop - s.start <= rows for s in spans)
